@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "blas/packed.hpp"
 
@@ -27,6 +28,17 @@ namespace {
 constexpr std::size_t kMc = 120;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 2048;
+
+// Multiply-adds (m * n * k) from which a blocked GEMM spreads over the
+// pool; below it every stage runs inline on the calling thread.
+constexpr double kParallelMacs = 1U << 20U;
+// Macro-kernel tasks per pool worker: a few each, so dynamic claiming
+// absorbs uneven tiles (ragged edges, host noise).
+constexpr std::size_t kTasksPerWorker = 4;
+
+constexpr std::size_t div_up(std::size_t a, std::size_t b) {
+  return (a + b - 1) / b;
+}
 
 // The micro-kernel contract: fn(kc, packed_a, packed_b, acc) fully
 // overwrites acc (mr x nr row-major) with packed_a(kc x mr)^T *
@@ -344,9 +356,29 @@ void sgemm_driver(Trans trans_a, Trans trans_b, std::size_t m,
   // global tiles and a window's panels are a contiguous pack slice).
   const std::size_t a_tiles_total = (m + mr - 1) / mr;
   const std::size_t b_tiles_total = (n + nr - 1) / nr;
+  const std::size_t m_blocks = div_up(m, kMc);
+  const std::size_t tiles_per_block = kMc / mr;
+  // Small problems run every stage on the calling thread: a pool
+  // dispatch would cost more than the work it splits.
+  const bool parallel = static_cast<double>(m) * static_cast<double>(n) *
+                            static_cast<double>(k) >=
+                        kParallelMacs;
+  const std::size_t serial_threshold =
+      parallel ? 2 : std::numeric_limits<std::size_t>::max();
 
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
+    const std::size_t n_tiles = div_up(nc, nr);
+    // The macro-kernel splits into (row block x column-tile range)
+    // tasks, enough for every worker to claim several: a thin M (one
+    // row block, as in batch-1 conv forwards) still spreads over the
+    // whole pool through its column ranges.
+    const std::size_t wanted_ranges =
+        parallel ? div_up(kTasksPerWorker * global_pool().size(), m_blocks)
+                 : 1;
+    const std::size_t range_len =
+        div_up(n_tiles, std::min(wanted_ranges, n_tiles));
+    const std::size_t ranges = div_up(n_tiles, range_len);
     for (std::size_t pc = 0; pc < k; pc += kKc) {
       const std::size_t kc = std::min(kKc, k - pc);
       const float beta_block = pc == 0 ? beta : 1.0F;
@@ -356,67 +388,73 @@ void sgemm_driver(Trans trans_a, Trans trans_b, std::size_t m,
       const bool last_k_block = pc + kc == k;
       const std::size_t block = pc / kKc;  // pc-block index into packs
 
-      // Pack the whole B panel once (tiles in parallel) — or take the
-      // k-block's slice of the prepacked panels; row blocks of A then
-      // proceed in parallel against the shared panel.
-      const std::size_t n_tiles = (nc + nr - 1) / nr;
-      ws::Scratch<float> packed_b(pb == nullptr ? n_tiles * kc * nr : 0);
-      const float* pb_panel = nullptr;
-      if (pb == nullptr) {
-        float* dst = packed_b.data();
-        parallel_for(
-            0, n_tiles,
-            [&](std::size_t t) {
+      // One parallel pre-pass packs this k-block's B panel and every A
+      // row block (tiles of both operands are independent jobs) — or
+      // the k-block's slices of the prepacked panels stand in for them.
+      const std::size_t b_jobs = pb == nullptr ? n_tiles : 0;
+      const std::size_t a_jobs = pa == nullptr ? a_tiles_total : 0;
+      ws::Scratch<float> packed_b(b_jobs * kc * nr);
+      ws::Scratch<float> packed_a(a_jobs * kc * mr);
+      float* b_dst = packed_b.data();
+      float* a_dst = packed_a.data();
+      parallel_for(
+          0, b_jobs + a_jobs,
+          [&](std::size_t t) {
+            if (t < b_jobs) {
               const std::size_t j0 = jc + t * nr;
               pack_b_panel(b, ldb, trans_b, pc, kc, j0,
-                           std::min(nr, n - j0), nr, dst + t * kc * nr);
-            },
-            /*serial_threshold=*/8);
-        bytes_packed_b_counter().add(
-            static_cast<std::int64_t>(n_tiles * kc * nr * sizeof(float)));
-        pb_panel = dst;
-      } else {
-        pb_panel = pb->data() + block * b_tiles_total * kKc * nr +
-                   (jc / nr) * kc * nr;
-      }
-
-      const std::size_t m_blocks = (m + kMc - 1) / kMc;
-      parallel_for(0, m_blocks, [&](std::size_t mb) {
-        const std::size_t ic = mb * kMc;
-        const std::size_t mc = std::min(kMc, m - ic);
-        const std::size_t m_tiles = (mc + mr - 1) / mr;
-        ws::Scratch<float> packed_a(pa == nullptr ? m_tiles * kc * mr : 0);
-        const float* pa_panel = nullptr;
-        if (pa == nullptr) {
-          for (std::size_t t = 0; t < m_tiles; ++t) {
-            const std::size_t i0 = ic + t * mr;
-            pack_a_panel(a, lda, trans_a, i0, std::min(mr, m - i0), pc, kc,
-                         mr, packed_a.data() + t * kc * mr);
-          }
-          bytes_packed_a_counter().add(static_cast<std::int64_t>(
-              m_tiles * kc * mr * sizeof(float)));
-          pa_panel = packed_a.data();
-        } else {
-          pa_panel = pa->data() + block * a_tiles_total * kKc * mr +
-                     (ic / mr) * kc * mr;
-        }
-        alignas(64) float acc[kMaxTileElems];
-        for (std::size_t ti = 0; ti < m_tiles; ++ti) {
-          const std::size_t i0 = ic + ti * mr;
-          const std::size_t im = std::min(mr, m - i0);
-          for (std::size_t tj = 0; tj < n_tiles; ++tj) {
-            const std::size_t j0 = jc + tj * nr;
-            const std::size_t jn = std::min(nr, n - j0);
-            uk.fn(kc, pa_panel + ti * kc * mr, pb_panel + tj * kc * nr,
-                  acc);
-            write_tile(c.data() + i0 * ldc + j0, ldc, acc, nr, im, jn,
-                       alpha, beta_block);
-            if (last_k_block && ep.active()) {
-              apply_epilogue(c.data() + i0 * ldc + j0, ldc, i0, im, jn, ep);
+                           std::min(nr, n - j0), nr, b_dst + t * kc * nr);
+            } else {
+              const std::size_t i0 = (t - b_jobs) * mr;
+              pack_a_panel(a, lda, trans_a, i0, std::min(mr, m - i0), pc,
+                           kc, mr, a_dst + (t - b_jobs) * kc * mr);
             }
-          }
-        }
-      });
+          },
+          serial_threshold);
+      bytes_packed_b_counter().add(
+          static_cast<std::int64_t>(b_jobs * kc * nr * sizeof(float)));
+      bytes_packed_a_counter().add(
+          static_cast<std::int64_t>(a_jobs * kc * mr * sizeof(float)));
+      const float* pb_panel =
+          pb == nullptr ? b_dst
+                        : pb->data() + block * b_tiles_total * kKc * nr +
+                              (jc / nr) * kc * nr;
+      const float* pa_panel =
+          pa == nullptr ? a_dst
+                        : pa->data() + block * a_tiles_total * kKc * mr;
+
+      // Every C tile gets exactly one micro-kernel call per k-block,
+      // in k order (this loop nest), whichever task runs it — so the
+      // result is independent of the partition and the thread count.
+      parallel_for(
+          0, m_blocks * ranges,
+          [&](std::size_t task) {
+            const std::size_t ti_lo = (task / ranges) * tiles_per_block;
+            const std::size_t ti_hi =
+                std::min(ti_lo + tiles_per_block, a_tiles_total);
+            const std::size_t tj_lo = (task % ranges) * range_len;
+            const std::size_t tj_hi = std::min(tj_lo + range_len, n_tiles);
+            alignas(64) float acc[kMaxTileElems];
+            // jr outer, ir inner: a B micro-panel stays in L1 while the
+            // row block's A panels stream from L2.
+            for (std::size_t tj = tj_lo; tj < tj_hi; ++tj) {
+              const std::size_t j0 = jc + tj * nr;
+              const std::size_t jn = std::min(nr, n - j0);
+              for (std::size_t ti = ti_lo; ti < ti_hi; ++ti) {
+                const std::size_t i0 = ti * mr;
+                const std::size_t im = std::min(mr, m - i0);
+                uk.fn(kc, pa_panel + ti * kc * mr, pb_panel + tj * kc * nr,
+                      acc);
+                write_tile(c.data() + i0 * ldc + j0, ldc, acc, nr, im, jn,
+                           alpha, beta_block);
+                if (last_k_block && ep.active()) {
+                  apply_epilogue(c.data() + i0 * ldc + j0, ldc, i0, im, jn,
+                                 ep);
+                }
+              }
+            }
+          },
+          serial_threshold);
     }
   }
 }

@@ -27,6 +27,8 @@ enum class Strategy { kDirect, kUnrolling, kFft, kWinograd };
 
 [[nodiscard]] std::string_view to_string(Strategy s);
 
+class ConvEngine;
+
 /// A conv layer's filters packed once into blas micro-kernel panels
 /// (blas/packed.hpp), one PackedMatrix per group — the GEMM engines'
 /// weight operand. Immutable after construction, so instances are shared
@@ -39,7 +41,8 @@ struct PackedFilters {
   /// Winograd scattered-GEMM panels: pre-transformed filters U = G g G^T
   /// laid out [alpha^2][F][C], one PackedMatrix per tile position over
   /// the owned backing buffer. Built only for Winograd-eligible configs
-  /// (k=3, s=1, pad <= 2, ungrouped); empty otherwise. The backing
+  /// (k=3, s=1, pad <= 2, ungrouped) and the tile sizes prepack_filters
+  /// was asked for; empty otherwise. The backing
   /// vectors are owned here because — unlike the GEMM groups, whose
   /// origin is the caller's filter tensor — the transformed values exist
   /// nowhere else. Move-only: a copy would leave the copied panels'
@@ -48,6 +51,9 @@ struct PackedFilters {
   std::vector<blas::PackedMatrix> winograd_f2;
   std::vector<float> winograd_f4_data;
   std::vector<blas::PackedMatrix> winograd_f4;
+
+  /// The filter data the panels were packed from.
+  const float* source = nullptr;
 
   PackedFilters() = default;
   PackedFilters(PackedFilters&&) = default;
@@ -64,13 +70,24 @@ struct PackedFilters {
              sizeof(float);
     return total;
   }
+
+  /// True when the pack was built from `filters` and holds the panels
+  /// `engine`'s forward_prepacked reads, packed for the SIMD level
+  /// dispatched now.
+  [[nodiscard]] bool serves(const ConvEngine& engine,
+                            const Tensor& filters) const;
 };
 
-/// Packs `filters` (cfg.filter_shape()) for the GEMM engines: per group,
-/// W_g(F_g x CKK) becomes the A operand of the forward GEMM. Engines
-/// consume the result through forward_prepacked().
-[[nodiscard]] PackedFilters prepack_filters(const ConvConfig& cfg,
-                                            const Tensor& filters);
+/// Packs `filters` (cfg.filter_shape()) for the prepack-capable engines:
+/// per group, W_g(F_g x CKK) becomes the A operand of the forward GEMM,
+/// and Winograd-eligible configs get both tile sizes' transformed
+/// panels. Given a `consumer`, only the panels that engine's
+/// forward_prepacked reads are built (none for an engine without a
+/// prepacked path). Engines consume the result through
+/// forward_prepacked().
+[[nodiscard]] PackedFilters prepack_filters(
+    const ConvConfig& cfg, const Tensor& filters,
+    const ConvEngine* consumer = nullptr);
 
 /// A convolution implementation: stateless and thread-compatible; all
 /// buffers are caller-owned.

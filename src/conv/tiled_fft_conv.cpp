@@ -53,22 +53,26 @@ void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
   const std::size_t out_tile = tile - cfg.kernel + 1;
   const std::size_t tiles = (o + out_tile - 1) / out_tile;
 
-  // Per-tile configuration: a `tile`-sized valid convolution, unpadded
-  // (padding is materialised while gathering patches).
+  // All tiles run as one batched `tile`-sized valid convolution,
+  // unpadded (padding is materialised while gathering patches): image
+  // t * batch + n of the batch is tile t of image n. One untiled call
+  // then transforms the filter bank once and reuses its spectra for
+  // every tile. Each image's output is computed alone within that call,
+  // so it equals a per-tile call bit for bit.
   ConvConfig tcfg = cfg;
+  tcfg.batch = tiles * tiles * cfg.batch;
   tcfg.input = tile;
   tcfg.pad = 0;
   check(tcfg.output() == out_tile, "tile geometry mismatch");
 
+  Tensor patches(tcfg.input_shape());  // zero beyond the padded image
   parallel_for(0, tiles * tiles, [&](std::size_t t_index) {
     const std::size_t ty = t_index / tiles;
     const std::size_t tx = t_index % tiles;
-    // Gather the input patch (zero beyond the padded image).
-    Tensor patch(cfg.batch, cfg.channels, tile, tile);
     for (std::size_t n = 0; n < cfg.batch; ++n) {
       for (std::size_t c = 0; c < cfg.channels; ++c) {
         const float* src = input.plane(n, c);
-        float* dst = patch.plane(n, c);
+        float* dst = patches.plane(t_index * cfg.batch + n, c);
         for (std::size_t y = 0; y < tile; ++y) {
           const std::size_t iy = ty * out_tile + y;  // padded coords
           if (iy < p || iy >= in + p) continue;
@@ -80,12 +84,18 @@ void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
         }
       }
     }
-    Tensor tile_out(tcfg.output_shape());
-    untiled_.forward(tcfg, patch, filters, tile_out);
-    // Scatter the valid region into the output.
+  });
+
+  Tensor tile_out(tcfg.output_shape());
+  untiled_.forward(tcfg, patches, filters, tile_out);
+
+  // Scatter each tile's valid region into the output.
+  parallel_for(0, tiles * tiles, [&](std::size_t t_index) {
+    const std::size_t ty = t_index / tiles;
+    const std::size_t tx = t_index % tiles;
     for (std::size_t n = 0; n < cfg.batch; ++n) {
       for (std::size_t f = 0; f < cfg.filters; ++f) {
-        const float* src = tile_out.plane(n, f);
+        const float* src = tile_out.plane(t_index * cfg.batch + n, f);
         float* dst = output.plane(n, f);
         for (std::size_t y = 0; y < out_tile; ++y) {
           const std::size_t oy = ty * out_tile + y;

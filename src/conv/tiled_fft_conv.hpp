@@ -8,10 +8,11 @@
 // the fbfft tile planner the performance model uses — implemented here
 // in full so the numerics can be tested, not just costed.
 //
-// Each tile runs through the untiled engine, so tiles use the same
-// half-spectrum R2C path, and every tile of a layer shares one cached
-// plan (fft::PlanCache) — the tile transform is built once per process,
-// not once per patch.
+// The tiles run through the untiled engine as one batch (tile-major),
+// so they use the same half-spectrum R2C path, the filter bank is
+// transformed once per call rather than once per tile, and every tile
+// shares one cached plan (fft::PlanCache) — the tile transform is built
+// once per process, not once per patch.
 #pragma once
 
 #include "conv/conv_engine.hpp"

@@ -794,13 +794,15 @@ void scatter_grad_transform(const Geometry& g, WinogradTile tile,
 }
 
 /// The multiply stage: one (F x C) x (C x pb) sgemm per tile position,
-/// from prepacked panels when available.
+/// from prepacked panels when available. The positions' GEMMs are
+/// independent and equal in size, so they run in parallel, each on one
+/// thread (a GEMM's result does not depend on where it runs).
 void multiply_stage(const Geometry& g, const float* u,
                     const std::vector<blas::PackedMatrix>* panels,
                     const float* v, float* m, std::size_t pb) {
   const std::size_t vplane = g.channels * g.block;
   const std::size_t mplane = g.filters * g.block;
-  for (std::size_t t = 0; t < g.positions; ++t) {
+  parallel_for(0, g.positions, [&](std::size_t t) {
     const std::span<const float> vt{v + t * vplane, vplane};
     const std::span<float> mt{m + t * mplane, mplane};
     if (panels != nullptr) {
@@ -812,7 +814,7 @@ void multiply_stage(const Geometry& g, const float* u,
                   {u + t * g.filters * g.channels, g.filters * g.channels},
                   g.channels, vt, g.block, 0.0F, mt, g.block);
     }
-  }
+  });
 }
 
 void run_forward(const ConvConfig& cfg, WinogradTile tile,
@@ -940,7 +942,7 @@ void WinogradConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
     scatter_data_transform(g, tile_, input, p0, pb, v.data());
     scatter_grad_transform(g, tile_, grad_output, p0, pb, dm.data());
     const float beta = p0 == 0 ? 0.0F : 1.0F;
-    for (std::size_t t = 0; t < g.positions; ++t) {
+    parallel_for(0, g.positions, [&](std::size_t t) {
       blas::sgemm(blas::Trans::kNo, blas::Trans::kYes, g.filters, g.channels,
                   pb, 1.0F,
                   {dm.data() + t * g.filters * g.block, g.filters * g.block},
@@ -948,7 +950,7 @@ void WinogradConv::backward_filter(const ConvConfig& cfg, const Tensor& input,
                   {v.data() + t * g.channels * g.block, g.channels * g.block},
                   g.block, beta, {du.data() + t * uplane, uplane},
                   g.channels);
-    }
+    });
   }
   parallel_for(0, g.filters * g.channels, [&](std::size_t i) {
     const std::size_t f = i / g.channels;

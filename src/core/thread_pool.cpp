@@ -152,8 +152,8 @@ void ThreadPool::parallel_for_chunks(std::size_t begin, std::size_t end,
                                      ChunkFnRef body) {
   if (begin >= end) return;
   if (tls_in_pool_task || workers_.size() == 1) {
-    // Nested call from inside a pool task: run inline. The outer loop
-    // already saturates the workers.
+    // Nested call from inside a pool task (or a one-worker pool): run
+    // inline on this thread.
     body(begin, end);
     return;
   }
@@ -162,23 +162,26 @@ void ThreadPool::parallel_for_chunks(std::size_t begin, std::size_t end,
   const std::size_t chunks =
       std::min(total, workers_.size() * kChunksPerWorker);
   Job job(body, begin, end, chunks);
-  bool pool_busy = false;
-  {
+  // A one-chunk job has nothing to share: the caller runs it, so its
+  // scratch stays in the caller's arena instead of whichever worker
+  // would have claimed it.
+  bool run_inline = total == 1;
+  if (!run_inline) {
     const std::scoped_lock lock(mutex_);
     if (current_job_ != nullptr) {
       // Another caller thread already owns the pool; run this dispatch
       // inline rather than queueing behind it.
-      pool_busy = true;
+      run_inline = true;
     } else {
       current_job_ = &job;
     }
   }
-  if (pool_busy) {
+  if (run_inline) {
     // The body runs after the lock is released — it may be arbitrarily
     // slow and must not block worker attach/detach or the owner's
     // retire wait. tls_in_pool_task is set so a nested parallel_for
-    // from inside the body also runs inline instead of re-locking the
-    // (non-recursive) pool mutex.
+    // from inside the body also runs inline, as it would inside a pool
+    // task, instead of re-locking the (non-recursive) pool mutex.
     const bool was_in_task = tls_in_pool_task;
     tls_in_pool_task = true;
     try {

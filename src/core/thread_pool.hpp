@@ -15,9 +15,13 @@
 //     from a mutex-guarded queue. The pool mutex is touched once to
 //     publish and once to retire a job — not once per chunk.
 //   * The calling thread claims chunks too (caller-runs), so a dispatch
-//     on an idle pool costs one cv broadcast, not a context switch.
-//   * Nested parallel_for from inside a pool task runs inline; the outer
-//     loop already saturates the workers, and inlining cannot deadlock.
+//     on an idle pool costs one cv broadcast, not a context switch. A
+//     one-item dispatch runs on the caller without waking the pool.
+//   * Nested parallel_for from inside a pool task runs inline, which
+//     cannot deadlock. An outer loop therefore owns the whole pool: it
+//     should expose enough independent tasks for every worker, and a
+//     caller with few, uneven pieces of work (Inception's four branches)
+//     runs them in sequence so each piece's own loops get the pool.
 #pragma once
 
 #include <atomic>

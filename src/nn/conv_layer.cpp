@@ -22,21 +22,21 @@ void ConvLayer::set_strategy(conv::Strategy strategy) {
 }
 
 void ConvLayer::freeze_for_inference() {
-  // The pack format is engine-agnostic (the forward GEMM's A operand),
-  // but only worth building when some forward could consume it: the
-  // static engine, or — under autotuning — the GEMM engines the tuner
-  // may pick.
-  if (!engine_->supports_prepack() && !auto_tune_) return;
-  // Already holding a live pack of this very buffer (packed here
-  // earlier, or adopted from the weight owner): keep sharing it.
-  if (prepacked_ != nullptr && !prepacked_->groups.empty() &&
-      prepacked_->groups.front().valid() &&
-      prepacked_->groups.front().origin().data() ==
-          weights_.data().data()) {
+  // Pack only what the forward engine at the layer's own batch reads:
+  // the static engine, or under autotuning the tuner's forward decision
+  // — resolved (in measure mode, timed) here, inside set-up.
+  const conv::ConvEngine& engine =
+      engine_for(geometry_, tune::Pass::kForward);
+  if (!engine.supports_prepack()) {
+    prepacked_.reset();
     return;
   }
+  // Already holding a live pack of this very buffer for this engine
+  // (packed here earlier, or adopted from the weight owner): keep
+  // sharing it.
+  if (prepacked_ != nullptr && prepacked_->serves(engine, weights_)) return;
   prepacked_ = std::make_shared<const conv::PackedFilters>(
-      conv::prepack_filters(geometry_, weights_));
+      conv::prepack_filters(geometry_, weights_, &engine));
 }
 
 void ConvLayer::adopt_prepack(const Layer& owner) {

@@ -56,10 +56,11 @@ class ConvLayer final : public Layer {
   /// filter cache is dropped — the new engine may not consume it).
   void set_strategy(conv::Strategy strategy);
 
-  /// Packs the filters once for the GEMM engines; every subsequent
-  /// inference forward consumes the cached panels (zero per-call weight
-  /// packing). Skipped when neither the static engine nor the autotuner
-  /// could pick a prepack-capable engine.
+  /// Packs the filters once for the forward engine at the layer's own
+  /// batch (the static engine, or the autotuner's decision); every
+  /// subsequent inference forward with that engine consumes the cached
+  /// panels (zero per-call weight packing). Holds no pack when that
+  /// engine has no prepacked path.
   void freeze_for_inference() override;
 
   /// Returning to training drops the packed cache: the optimizer is

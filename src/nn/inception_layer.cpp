@@ -1,6 +1,5 @@
 #include "nn/inception_layer.hpp"
 
-#include "core/thread_pool.hpp"
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/pool_layer.hpp"
@@ -115,11 +114,11 @@ TensorShape InceptionLayer::output_shape(const TensorShape& in) const {
 void InceptionLayer::forward(const Tensor& in, Tensor& out) {
   const TensorShape os = output_shape(in.shape());
   out.resize(os);
-  // The four branches only read `in` and write disjoint state, so they
-  // run concurrently on the pool — the dataflow parallelism the concat
-  // topology exposes. The channel concat stays serial (cheap copies).
-  parallel_for(0, branches_.size(),
-               [&](std::size_t b) { branches_[b]->forward(in); });
+  // The branches run one after another: each layer inside a branch
+  // spreads its own work over the whole pool, which beats running four
+  // unequal branches side by side with every kernel inline on one
+  // thread. The channel concat is cheap copies.
+  for (auto& branch : branches_) branch->forward(in);
   std::size_t channel_offset = 0;
   for (auto& branch : branches_) {
     const Tensor& result = branch->output();
@@ -142,11 +141,9 @@ void InceptionLayer::backward(const Tensor& in, const Tensor& grad_out,
         "inception: grad_out shape mismatch");
   grad_in.resize(in.shape());
   grad_in.fill(0.0F);
-  // Slice each branch's channels out of the concatenated gradient
-  // (serial — shared reads of grad_out are cheap), then backpropagate
-  // the four branches concurrently: parameter gradients live inside
-  // each branch's own layers, so the only shared write is the final
-  // serial sum into grad_in.
+  // Slice each branch's channels out of the concatenated gradient, then
+  // backpropagate the branches in turn (each layer uses the whole pool,
+  // as in forward) and sum their input gradients into grad_in.
   std::array<Tensor, 4> branch_grads;
   std::array<Tensor, 4> branch_gins;
   std::size_t channel_offset = 0;
@@ -163,10 +160,9 @@ void InceptionLayer::backward(const Tensor& in, const Tensor& grad_out,
     }
     channel_offset += branch->out_channels;
   }
-  parallel_for(0, branches_.size(), [&](std::size_t b) {
-    branches_[b]->backward(in, std::move(branch_grads[b]),
-                           branch_gins[b]);
-  });
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    branches_[b]->backward(in, std::move(branch_grads[b]), branch_gins[b]);
+  }
   for (const auto& branch_gin : branch_gins) {
     for (std::size_t i = 0; i < grad_in.count(); ++i) {
       grad_in.data()[i] += branch_gin.data()[i];
@@ -204,6 +200,25 @@ void InceptionLayer::set_training(bool training) {
   Layer::set_training(training);
   for (auto& branch : branches_) {
     for (auto& layer : branch->layers) layer->set_training(training);
+  }
+}
+
+void InceptionLayer::freeze_for_inference() {
+  for (auto& branch : branches_) {
+    for (auto& layer : branch->layers) layer->freeze_for_inference();
+  }
+}
+
+void InceptionLayer::adopt_prepack(const Layer& owner) {
+  const auto* inception = dynamic_cast<const InceptionLayer*>(&owner);
+  if (inception == nullptr) return;
+  for (std::size_t b = 0; b < branches_.size(); ++b) {
+    auto& mine = branches_[b]->layers;
+    const auto& theirs = inception->branches_[b]->layers;
+    if (mine.size() != theirs.size()) continue;  // fused differently
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      mine[i]->adopt_prepack(*theirs[i]);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
-// GoogLeNet inception module as a composite layer: four parallel
-// branches over the same input, concatenated along channels. Packaging
-// the branch/join inside one Layer keeps the Network container
-// sequential while making GoogLeNet — the paper's Fig. 2 concat model —
-// fully executable.
+// GoogLeNet inception module as a composite layer: four branches over
+// the same input, concatenated along channels. Packaging the
+// branch/join inside one Layer keeps the Network container sequential
+// while making GoogLeNet — the paper's Fig. 2 concat model — fully
+// executable.
 //
 // Branches (Szegedy et al.):
 //   1x1 conv          -> relu
@@ -60,6 +60,11 @@ class InceptionLayer final : public Layer {
   void initialize(Rng& rng) override;
   void set_training(bool training) override;
   void set_auto_tune(bool on) override;
+  /// Packs the filters of every branch conv (ConvLayer's contract).
+  void freeze_for_inference() override;
+  /// Adopts `owner`'s branch packs layer by layer, in every branch
+  /// whose layer list matches `owner`'s (both fused alike).
+  void adopt_prepack(const Layer& owner) override;
   /// Fuses the conv -> ReLU pairs inside every branch.
   std::size_t fuse_relu_pairs() override;
 

@@ -37,10 +37,12 @@ InferenceServer::InferenceServer(
 
   prototype_.set_training(false);
   if (options_.fuse_conv_relu) prototype_.fuse_conv_relu();
+  prototype_.enable_autotune(options_.autotune);
   Rng rng(options_.seed);
   prototype_.initialize(rng);
-  // Pack the prototype's weights once; every instance then aliases the
-  // packed panels through share_parameters (one packed copy per server).
+  // Pack the prototype's weights once, for the engines the (tuned)
+  // instances will run; every instance then aliases the packed panels
+  // through share_parameters (one packed copy per server).
   prototype_.freeze_for_inference();
 
   // Synthetic calibration set for --int8: the load generator draws

@@ -7,8 +7,10 @@
 #include <tuple>
 #include <vector>
 
+#include "blas/packed.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 
 namespace gpucnn::blas {
 namespace {
@@ -372,6 +374,92 @@ TEST(GemmEpilogue, InactiveEpilogueIsPlainGemm) {
         Epilogue{});
   for (std::size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c2[i]);
 }
+
+// The blocked driver splits its packing and macro-kernel stages into
+// (row block x column-tile range) tasks on the pool. Every C tile must
+// see the same micro-kernel calls in the same k order however the tasks
+// fall, so the pooled result equals the single-thread one bit for bit.
+// Running the call inside a one-chunk pool task makes every nested
+// dispatch inline: that is the single-thread reference. N = 2100 crosses
+// the 2048-column panel edge with a ragged tail, K = 600 spans three
+// k-blocks, and every shape is large enough to leave the inline path.
+class GemmPartition : public ::testing::TestWithParam<std::size_t> {};
+
+template <typename F>
+void run_inline(F&& call) {
+  global_pool().parallel_for_chunks(
+      0, 1, [&](std::size_t, std::size_t) { call(); });
+}
+
+void expect_bitwise_equal(const std::vector<float>& x,
+                          const std::vector<float>& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(x[i], y[i]) << "at " << i;
+  }
+}
+
+TEST_P(GemmPartition, PooledMatchesInlineBitForBit) {
+  const std::size_t m = GetParam();
+  const std::size_t n = 2100;
+  const std::size_t k = 600;
+  Rng rng(41 + static_cast<unsigned>(m));
+  const auto a = random_matrix(m, k, rng);
+  const auto b = random_matrix(k, n, rng);
+  const auto bias = random_matrix(m, 1, rng);
+  const auto c0 = random_matrix(m, n, rng);
+  const Epilogue ep{.bias = bias.data(), .relu = true};
+  const PackedMatrix pa = pack_a(Trans::kNo, m, k, a, k);
+  const PackedMatrix pb = pack_b(Trans::kNo, k, n, b, n);
+
+  // Staged operands, beta = 0 with the bias + ReLU epilogue.
+  std::vector<float> pooled(m * n, kNaN);
+  std::vector<float> inline_c(m * n, kNaN);
+  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, pooled, n,
+        ep);
+  run_inline([&] {
+    sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F,
+          inline_c, n, ep);
+  });
+  expect_bitwise_equal(pooled, inline_c);
+
+  // Transposed staged operands with beta != 0 read back C.
+  const auto at = random_matrix(k, m, rng);
+  const auto bt = random_matrix(n, k, rng);
+  pooled = c0;
+  inline_c = c0;
+  sgemm(Trans::kYes, Trans::kYes, m, n, k, 0.5F, at, m, bt, k, 0.25F, pooled,
+        n);
+  run_inline([&] {
+    sgemm(Trans::kYes, Trans::kYes, m, n, k, 0.5F, at, m, bt, k, 0.25F,
+          inline_c, n);
+  });
+  expect_bitwise_equal(pooled, inline_c);
+
+  // Prepacked A, and the pooled prepacked call against the staged one.
+  sgemm_prepacked(m, n, k, 1.0F, pa, Trans::kNo, b, n, 0.0F, pooled, n, ep);
+  run_inline([&] {
+    sgemm_prepacked(m, n, k, 1.0F, pa, Trans::kNo, b, n, 0.0F, inline_c, n,
+                    ep);
+  });
+  expect_bitwise_equal(pooled, inline_c);
+  std::vector<float> staged(m * n, kNaN);
+  sgemm(Trans::kNo, Trans::kNo, m, n, k, 1.0F, a, k, b, n, 0.0F, staged, n,
+        ep);
+  expect_bitwise_equal(pooled, staged);
+
+  // Prepacked B.
+  sgemm_prepacked(Trans::kNo, m, n, k, 1.0F, a, k, pb, 0.0F, pooled, n, ep);
+  run_inline([&] {
+    sgemm_prepacked(Trans::kNo, m, n, k, 1.0F, a, k, pb, 0.0F, inline_c, n,
+                    ep);
+  });
+  expect_bitwise_equal(pooled, inline_c);
+  expect_bitwise_equal(pooled, staged);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThinAndRaggedM, GemmPartition,
+                         ::testing::Values(1, 5, 6, 64, 119, 120, 121, 250));
 
 }  // namespace
 }  // namespace gpucnn::blas

@@ -1,6 +1,10 @@
 // Unit and finite-difference gradient tests for every nn layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/dropout_layer.hpp"
@@ -296,6 +300,116 @@ TEST(LrnLayer, Gradcheck) {
 }
 
 TEST(LrnLayer, RejectsEvenWindow) { EXPECT_THROW(LrnLayer("l", 4), Error); }
+
+// The per-element LRN formula, one output at a time with std::pow: the
+// oracle the plane-parallel layer must match within one float ulp.
+struct LrnOracle {
+  std::size_t size;
+  double alpha;
+  double beta;
+  double k;
+
+  [[nodiscard]] double scale(const Tensor& in, std::size_t n, std::size_t c,
+                             std::size_t y, std::size_t x) const {
+    const std::size_t half = size / 2;
+    const std::size_t lo = c >= half ? c - half : 0;
+    const std::size_t hi = std::min(c + half, in.shape().c - 1);
+    double sum_sq = 0.0;
+    for (std::size_t cc = lo; cc <= hi; ++cc) {
+      const double v = in(n, cc, y, x);
+      sum_sq += v * v;
+    }
+    return k + alpha / static_cast<double>(size) * sum_sq;
+  }
+
+  [[nodiscard]] Tensor forward(const Tensor& in) const {
+    Tensor out(in.shape());
+    const auto& s = in.shape();
+    for (std::size_t n = 0; n < s.n; ++n) {
+      for (std::size_t c = 0; c < s.c; ++c) {
+        for (std::size_t y = 0; y < s.h; ++y) {
+          for (std::size_t x = 0; x < s.w; ++x) {
+            out(n, c, y, x) = static_cast<float>(
+                in(n, c, y, x) * std::pow(scale(in, n, c, y, x), -beta));
+          }
+        }
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] Tensor backward(const Tensor& in,
+                                const Tensor& grad_out) const {
+    Tensor gin(in.shape());
+    const auto& s = in.shape();
+    const std::size_t half = size / 2;
+    const double norm = alpha / static_cast<double>(size);
+    for (std::size_t n = 0; n < s.n; ++n) {
+      for (std::size_t y = 0; y < s.h; ++y) {
+        for (std::size_t x = 0; x < s.w; ++x) {
+          for (std::size_t ct = 0; ct < s.c; ++ct) {
+            const std::size_t lo = ct >= half ? ct - half : 0;
+            const std::size_t hi = std::min(ct + half, s.c - 1);
+            double cross = 0.0;
+            for (std::size_t c = lo; c <= hi; ++c) {
+              // The layer saves b as float; the oracle rounds it alike.
+              const double b =
+                  static_cast<float>(scale(in, n, c, y, x));
+              cross += static_cast<double>(grad_out(n, c, y, x)) *
+                       in(n, c, y, x) * std::pow(b, -beta - 1.0);
+            }
+            const double b = static_cast<float>(scale(in, n, ct, y, x));
+            const double direct =
+                static_cast<double>(grad_out(n, ct, y, x)) *
+                std::pow(b, -beta);
+            gin(n, ct, y, x) = static_cast<float>(
+                direct - 2.0 * beta * norm * in(n, ct, y, x) * cross);
+          }
+        }
+      }
+    }
+    return gin;
+  }
+};
+
+void expect_within_one_ulp(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::size_t i = 0; i < got.count(); ++i) {
+    const float g = got.data()[i];
+    const float w = want.data()[i];
+    ASSERT_TRUE(g == w || std::nextafter(w, g) == g)
+        << "at " << i << ": " << g << " vs " << w;
+  }
+}
+
+class LrnOracleTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, double>> {};
+
+TEST_P(LrnOracleTest, ForwardAndBackwardMatchPerElementFormula) {
+  const auto [size, beta] = GetParam();
+  // A large alpha makes the window energy move b well away from k.
+  const LrnOracle oracle{size, 0.5, beta, 1.5};
+  LrnLayer lrn("l", size, oracle.alpha, beta, oracle.k);
+  Rng rng(77);
+  Tensor in(2, 9, 5, 7);
+  in.fill_uniform(rng, -2.0F, 2.0F);
+  Tensor grad(in.shape());
+  grad.fill_uniform(rng, -1.0F, 1.0F);
+
+  Tensor out;
+  lrn.forward(in, out);
+  expect_within_one_ulp(out, oracle.forward(in));
+  Tensor gin;
+  lrn.backward(in, grad, gin);
+  expect_within_one_ulp(gin, oracle.backward(in, grad));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowsAndBetas, LrnOracleTest,
+    ::testing::Values(std::tuple<std::size_t, double>{3, 0.75},
+                      std::tuple<std::size_t, double>{5, 0.75},
+                      std::tuple<std::size_t, double>{3, 0.6},
+                      std::tuple<std::size_t, double>{5, 0.6}));
 
 // --- softmax ---------------------------------------------------------
 

@@ -299,12 +299,13 @@ TEST(NetworkPlanner, PlannedForwardForbidsBackward) {
   EXPECT_NO_THROW(net.backward(grad));
 }
 
-// --- parallel inception branches --------------------------------------
+// --- inception determinism --------------------------------------------
 
-TEST(NetworkInception, ParallelBranchesMatchSerialComposition) {
-  // The inception forward/backward runs its branches on the thread pool;
-  // gradients and outputs must be identical to a from-scratch layer run
-  // (same seed), and a gradcheck-style agreement holds between runs.
+TEST(NetworkInception, PooledLayerKernelsAreDeterministic) {
+  // The inception forward/backward runs its branches in sequence, and
+  // each branch layer spreads its kernels over the thread pool; outputs
+  // and gradients must be identical to a from-scratch layer run (same
+  // seed), whichever threads ran which pieces.
   const InceptionParams params{"t", 8, 4, 8, 2, 4, 4};
   InceptionLayer a("incept_a", 3, 6, params);
   InceptionLayer b("incept_b", 3, 6, params);

@@ -11,6 +11,7 @@
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/fc_layer.hpp"
+#include "nn/inception_layer.hpp"
 #include "nn/network.hpp"
 #include "nn/pool_layer.hpp"
 #include "obs/metrics.hpp"
@@ -177,6 +178,82 @@ TEST(PrepackLifecycle, ConcurrentForwardsOverSharedPacksAgree) {
     EXPECT_EQ(max_abs_diff(expected, outputs[i]), 0.0)
         << "reader " << i << " diverged over the shared packs";
   }
+}
+
+TEST(PrepackLifecycle, FreezeBuildsOnlyTheForwardEnginesPanels) {
+  const ConvConfig geometry{.batch = 1, .input = 12, .channels = 8,
+                            .filters = 8, .kernel = 3, .stride = 1,
+                            .pad = 1};
+  Rng rng(5);
+  ConvLayer gemm("gemm", geometry, conv::Strategy::kUnrolling);
+  gemm.initialize(rng);
+  gemm.set_training(false);
+  gemm.freeze_for_inference();
+  ASSERT_NE(gemm.prepacked(), nullptr);
+  EXPECT_EQ(gemm.prepacked()->groups.size(), 1U);
+  EXPECT_TRUE(gemm.prepacked()->winograd_f2.empty());
+  EXPECT_TRUE(gemm.prepacked()->winograd_f4.empty());
+
+  ConvLayer winograd("winograd", geometry, conv::Strategy::kWinograd);
+  winograd.initialize(rng);
+  winograd.set_training(false);
+  winograd.freeze_for_inference();
+  ASSERT_NE(winograd.prepacked(), nullptr);
+  EXPECT_TRUE(winograd.prepacked()->groups.empty());
+  EXPECT_FALSE(winograd.prepacked()->winograd_f2.empty());
+  EXPECT_TRUE(winograd.prepacked()->winograd_f4.empty());
+
+  ConvLayer direct("direct", geometry, conv::Strategy::kDirect);
+  direct.initialize(rng);
+  direct.set_training(false);
+  direct.freeze_for_inference();
+  EXPECT_EQ(direct.prepacked(), nullptr)
+      << "an engine with no prepacked path got a pack it never reads";
+}
+
+/// One inception module whose 1x1 and 3x3 branch GEMMs cross the
+/// blocked threshold at batch 1, so their packs are actually consumed.
+Network inception_net() {
+  Network net;
+  net.emplace<InceptionLayer>(
+      "incept", 32, 16, InceptionParams{"incept", 32, 32, 32, 16, 32, 32});
+  return net;
+}
+
+TEST(PrepackLifecycle, FreezeReachesInceptionBranchConvs) {
+  Network net = inception_net();
+  Rng rng(8);
+  net.initialize(rng);
+  net.fuse_conv_relu();
+  net.set_training(false);
+  Rng in_rng(9);
+  Tensor in(1, 32, 16, 16);
+  in.fill_uniform(in_rng);
+
+  const auto& packed_a = obs::metrics().counter("blas.sgemm.bytes_packed_a");
+  const std::int64_t before_staged = packed_a.value();
+  const Tensor staged = net.forward(in);
+  ASSERT_GT(packed_a.value(), before_staged)
+      << "no branch GEMM reached the blocked path; the test shape is stale";
+
+  net.freeze_for_inference();
+  (void)net.forward(in);  // first frozen forward
+  const std::int64_t before_frozen = packed_a.value();
+  const Tensor& frozen = net.forward(in);
+  EXPECT_EQ(packed_a.value(), before_frozen)
+      << "a frozen inception forward re-packed its branch weights";
+  EXPECT_EQ(max_abs_diff(staged, frozen), 0.0);
+
+  // A network sharing the weights adopts the branch packs as well.
+  Network sharer = inception_net();
+  sharer.fuse_conv_relu();
+  sharer.set_training(false);
+  sharer.share_parameters(net);
+  const std::int64_t before_sharer = packed_a.value();
+  const Tensor& shared = sharer.forward(in);
+  EXPECT_EQ(packed_a.value(), before_sharer)
+      << "the sharing network packed its own copy of the branch weights";
+  EXPECT_EQ(max_abs_diff(staged, shared), 0.0);
 }
 
 }  // namespace

@@ -100,6 +100,22 @@ TEST(ThreadPool, SerialThresholdRunsOnCaller) {
   EXPECT_EQ(seen, caller);
 }
 
+TEST(ThreadPool, OneChunkDispatchRunsOnCallerWithNestedLoopsInline) {
+  // A one-item dispatch has nothing to share, so it runs on the caller —
+  // and, as inside any pool task, loops nested in it run inline there.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen;
+  pool.parallel_for_chunks(0, 1, [&](std::size_t, std::size_t) {
+    seen.push_back(std::this_thread::get_id());
+    pool.parallel_for(0, 64, [&](std::size_t) {
+      seen.push_back(std::this_thread::get_id());  // unsynchronised: inline
+    });
+  });
+  ASSERT_EQ(seen.size(), 65U);
+  for (const auto& id : seen) EXPECT_EQ(id, caller);
+}
+
 TEST(ThreadPool, ChunkedPropagatesExceptions) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.parallel_for_chunks(0, 1000,

@@ -59,6 +59,68 @@ TEST(TiledFft, AutoTileMatchesDirectToo) {
                          0);
 }
 
+TEST(TiledFft, BatchedTilesEqualPerTileUntiledCallsBitForBit) {
+  // The engine runs all tiles as one batched untiled call, transforming
+  // the filters once. The oracle is the per-tile form: gather each
+  // padded patch, run the untiled engine on it alone, scatter its valid
+  // region. Both must agree exactly (channels >= 4 reaches the vector
+  // pointwise kernel).
+  const ConvConfig cfg{.batch = 2, .input = 19, .channels = 5,
+                       .filters = 3, .kernel = 3, .stride = 1, .pad = 1};
+  const std::size_t tile = 8;
+  Rng rng(53);
+  Tensor x(cfg.input_shape());
+  x.fill_uniform(rng);
+  Tensor w(cfg.filter_shape());
+  w.fill_uniform(rng);
+  Tensor got(cfg.output_shape());
+  TiledFftConv(tile).forward(cfg, x, w, got);
+
+  const std::size_t o = cfg.output();
+  const std::size_t out_tile = tile - cfg.kernel + 1;
+  const std::size_t tiles = (o + out_tile - 1) / out_tile;
+  ConvConfig tcfg = cfg;
+  tcfg.input = tile;
+  tcfg.pad = 0;
+  Tensor want(cfg.output_shape());
+  for (std::size_t ty = 0; ty < tiles; ++ty) {
+    for (std::size_t tx = 0; tx < tiles; ++tx) {
+      Tensor patch(tcfg.input_shape());
+      for (std::size_t n = 0; n < cfg.batch; ++n) {
+        for (std::size_t c = 0; c < cfg.channels; ++c) {
+          for (std::size_t y = 0; y < tile; ++y) {
+            for (std::size_t xx = 0; xx < tile; ++xx) {
+              const std::size_t iy = ty * out_tile + y;
+              const std::size_t ix = tx * out_tile + xx;
+              if (iy < cfg.pad || iy >= cfg.input + cfg.pad ||
+                  ix < cfg.pad || ix >= cfg.input + cfg.pad) {
+                continue;
+              }
+              patch(n, c, y, xx) = x(n, c, iy - cfg.pad, ix - cfg.pad);
+            }
+          }
+        }
+      }
+      Tensor tile_out(tcfg.output_shape());
+      FftConv{}.forward(tcfg, patch, w, tile_out);
+      for (std::size_t n = 0; n < cfg.batch; ++n) {
+        for (std::size_t f = 0; f < cfg.filters; ++f) {
+          for (std::size_t y = 0; y < out_tile; ++y) {
+            for (std::size_t xx = 0; xx < out_tile; ++xx) {
+              const std::size_t oy = ty * out_tile + y;
+              const std::size_t ox = tx * out_tile + xx;
+              if (oy < o && ox < o) {
+                want(n, f, oy, ox) = tile_out(n, f, y, xx);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(max_abs_diff(want, got), 0.0);
+}
+
 TEST(TiledFft, BackwardPassesDelegateAndAgree) {
   const ConvConfig cfg{.batch = 2, .input = 10, .channels = 2,
                        .filters = 3, .kernel = 3, .stride = 1, .pad = 1};

@@ -2,7 +2,8 @@
 // suite in test_winograd.cpp: the scalar transform identities the
 // scattered-GEMM formulation is built on, bit-identity of the fused
 // epilogue, the prepacked-panel lifecycle, F(2x2,3x3)-vs-F(4x4,3x3)
-// agreement on all three passes, and the fallback counter.
+// agreement on all three passes, pooled-vs-single-thread bit-identity,
+// and the fallback counter.
 #include "conv/winograd_conv.hpp"
 
 #include <array>
@@ -11,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "conv/direct_conv.hpp"
+#include "conv/gemm_conv.hpp"
 #include "core/rng.hpp"
+#include "core/thread_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpucnn::conv {
@@ -238,6 +241,99 @@ TEST(WinogradPrepack, PackWithoutPanelsFallsBackAndCounts) {
   EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, empty_pack, w, {},
                                                 false, out));
   EXPECT_EQ(fallbacks.value(), before + 1);
+}
+
+TEST(WinogradPrepack, ConsumerPackHoldsOnlyThatEnginesPanels) {
+  const ConvConfig cfg{.batch = 1, .input = 12, .channels = 5, .filters = 6,
+                       .kernel = 3, .stride = 1, .pad = 1};
+  Rng rng(39);
+  Tensor w(cfg.filter_shape());
+  w.fill_uniform(rng);
+
+  const WinogradConv f2(WinogradTile::kF2);
+  const WinogradConv f4(WinogradTile::kF4);
+  const GemmConv gemm;
+  const PackedFilters for_f2 = prepack_filters(cfg, w, &f2);
+  EXPECT_TRUE(for_f2.groups.empty());
+  EXPECT_EQ(for_f2.winograd_f2.size(), winograd_positions(WinogradTile::kF2));
+  EXPECT_TRUE(for_f2.winograd_f4.empty());
+  EXPECT_TRUE(for_f2.serves(f2, w));
+  EXPECT_FALSE(for_f2.serves(f4, w));
+  EXPECT_FALSE(for_f2.serves(gemm, w));
+
+  const PackedFilters for_f4 = prepack_filters(cfg, w, &f4);
+  EXPECT_TRUE(for_f4.groups.empty());
+  EXPECT_TRUE(for_f4.winograd_f2.empty());
+  EXPECT_TRUE(for_f4.serves(f4, w));
+
+  const PackedFilters for_gemm = prepack_filters(cfg, w, &gemm);
+  EXPECT_EQ(for_gemm.groups.size(), 1U);
+  EXPECT_TRUE(for_gemm.winograd_f2.empty());
+  EXPECT_TRUE(for_gemm.winograd_f4.empty());
+  EXPECT_TRUE(for_gemm.serves(gemm, w));
+  EXPECT_FALSE(for_gemm.serves(f2, w));
+
+  const DirectConv direct;
+  const PackedFilters none = prepack_filters(cfg, w, &direct);
+  EXPECT_EQ(none.bytes(), 0U);
+
+  // A pack serves only the tensor it was built from.
+  Tensor other(cfg.filter_shape());
+  other.fill_uniform(rng);
+  EXPECT_FALSE(for_gemm.serves(gemm, other));
+}
+
+// --- Pooled vs single-thread ----------------------------------------------
+
+TEST(WinogradPool, AllThreePassesMatchSingleThreadBitForBit) {
+  // The tile positions' GEMMs run in parallel on the pool. Each
+  // position's GEMM is the same computation wherever it runs, so every
+  // pass must equal its single-thread run — inside a one-chunk pool
+  // task, where every nested dispatch runs inline — exactly. The shape
+  // puts every position's GEMM on the blocked path for both tile sizes.
+  const ConvConfig cfg{.batch = 4, .input = 23, .channels = 48,
+                       .filters = 40, .kernel = 3, .stride = 1, .pad = 1};
+  Rng rng(40);
+  Tensor in(cfg.input_shape());
+  in.fill_uniform(rng);
+  Tensor w(cfg.filter_shape());
+  w.fill_uniform(rng);
+  Tensor gout(cfg.output_shape());
+  gout.fill_uniform(rng);
+  std::vector<float> bias(cfg.filters);
+  for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+  const PackedFilters packed = prepack_filters(cfg, w);
+  const auto single_thread = [](auto&& call) {
+    global_pool().parallel_for_chunks(
+        0, 1, [&](std::size_t, std::size_t) { call(); });
+  };
+
+  for (const WinogradTile tile : kTiles) {
+    const WinogradConv engine(tile);
+    Tensor pooled(cfg.output_shape());
+    Tensor inline_out(cfg.output_shape());
+    ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, true, pooled));
+    single_thread([&] {
+      ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, true, inline_out));
+    });
+    EXPECT_EQ(max_abs_diff(pooled, inline_out), 0.0) << label_of(tile);
+    ASSERT_TRUE(engine.forward_prepacked(cfg, in, packed, w, bias, true,
+                                         pooled));
+    EXPECT_EQ(max_abs_diff(pooled, inline_out), 0.0) << label_of(tile);
+
+    Tensor gin(cfg.input_shape());
+    Tensor gin_inline(cfg.input_shape());
+    engine.backward_data(cfg, gout, w, gin);
+    single_thread([&] { engine.backward_data(cfg, gout, w, gin_inline); });
+    EXPECT_EQ(max_abs_diff(gin, gin_inline), 0.0) << label_of(tile);
+
+    Tensor gw(cfg.filter_shape());
+    Tensor gw_inline(cfg.filter_shape());
+    engine.backward_filter(cfg, in, gout, gw);
+    single_thread(
+        [&] { engine.backward_filter(cfg, in, gout, gw_inline); });
+    EXPECT_EQ(max_abs_diff(gw, gw_inline), 0.0) << label_of(tile);
+  }
 }
 
 // --- Tile-size agreement --------------------------------------------------
