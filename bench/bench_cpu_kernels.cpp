@@ -32,6 +32,7 @@
 #include "conv/depthwise_conv.hpp"
 #include "conv/gemm_conv.hpp"
 #include "conv/im2col.hpp"
+#include "conv/registry.hpp"
 #include "conv/winograd_conv.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
@@ -187,7 +188,7 @@ void conv_strategy_bench(benchmark::State& state, conv::Strategy strategy) {
   const ConvConfig cfg{
       .batch = 2, .input = 32, .channels = 4, .filters = 8,
       .kernel = static_cast<std::size_t>(state.range(0)), .stride = 1};
-  const auto engine = conv::make_engine(strategy);
+  const conv::ConvEngine& engine = conv::engine(conv::to_string(strategy));
   Rng rng(5);
   Tensor in(cfg.input_shape());
   in.fill_uniform(rng);
@@ -195,7 +196,7 @@ void conv_strategy_bench(benchmark::State& state, conv::Strategy strategy) {
   w.fill_uniform(rng);
   Tensor out(cfg.output_shape());
   for (auto _ : state) {
-    engine->forward(cfg, in, w, out);
+    engine.forward(cfg, in, w, out);
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -348,9 +349,7 @@ void BM_ConvFusedBiasRelu(benchmark::State& state) {
   const auto bias = random_vec(kFusedCfg.filters, 10);
   Tensor out(kFusedCfg.output_shape());
   for (auto _ : state) {
-    const bool fused =
-        engine.forward_fused(kFusedCfg, in, w, bias, /*relu=*/true, out);
-    if (!fused) state.SkipWithError("GemmConv lost its fused path");
+    engine.forward(kFusedCfg, in, w, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -451,9 +450,7 @@ void BM_Fp32ConvForward(benchmark::State& state) {
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
   for (auto _ : state) {
-    const bool fused =
-        engine.forward_fused(cfg, in, w, bias, /*relu=*/true, out);
-    if (!fused) state.SkipWithError("GemmConv lost its fused path");
+    engine.forward(cfg, in, w, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -479,8 +476,8 @@ void BM_Int8ConvForward(benchmark::State& state) {
       (cfg.channels / cfg.groups) * cfg.kernel * cfg.kernel);
   const quant::ActQuant aq = quant::choose_act_quant(-1.0F, 1.0F);
   for (auto _ : state) {
-    conv::quantized_gemm_forward(cfg, in, qw, aq, bias, /*relu=*/true,
-                                 out);
+    conv::quantized_gemm_forward(cfg, in, qw, nullptr, aq, bias,
+                                 /*relu=*/true, out);
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -554,11 +551,12 @@ void BM_PrepackedConvForward(benchmark::State& state) {
   w.fill_uniform(rng, -1.0F, 1.0F);
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, w);
+  const conv::PackedFilters packed = conv::prepack_filters(cfg, w, engine);
+  if (!packed.serves(engine, w)) {
+    state.SkipWithError("GemmConv's own pack does not serve it");
+  }
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, packed, w, bias,
-                                              /*relu=*/true, out);
-    if (!ran) state.SkipWithError("GemmConv refused its own pack");
+    engine.forward(cfg, in, {w, &packed}, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -585,11 +583,12 @@ void winograd_forward_bench(benchmark::State& state,
   w.fill_uniform(rng, -1.0F, 1.0F);
   const auto bias = random_vec(cfg.filters, 10);
   Tensor out(cfg.output_shape());
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, w);
+  const conv::PackedFilters packed = conv::prepack_filters(cfg, w, engine);
+  if (!packed.serves(engine, w)) {
+    state.SkipWithError("WinogradConv's own pack does not serve it");
+  }
   for (auto _ : state) {
-    const bool ran = engine.forward_prepacked(cfg, in, packed, w, bias,
-                                              /*relu=*/true, out);
-    if (!ran) state.SkipWithError("WinogradConv refused its own pack");
+    engine.forward(cfg, in, {w, &packed}, out, {.bias = bias, .relu = true});
     benchmark::DoNotOptimize(out.raw());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(

@@ -25,6 +25,7 @@
 
 #include "analysis/report.hpp"
 #include "cli_args.hpp"
+#include "conv/registry.hpp"
 #include "core/timer.hpp"
 #include "fft/plan_cache.hpp"
 #include "nn/conv_layer.hpp"
@@ -40,14 +41,9 @@ using namespace gpucnn;
 namespace {
 
 bool parse_strategy(std::string_view text, conv::Strategy& out) {
-  for (const auto s : {conv::Strategy::kDirect, conv::Strategy::kUnrolling,
-                       conv::Strategy::kFft, conv::Strategy::kWinograd}) {
-    if (text == conv::to_string(s)) {
-      out = s;
-      return true;
-    }
-  }
-  return false;
+  const auto strategy = conv::strategy_named(text);
+  if (strategy) out = *strategy;
+  return strategy.has_value();
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "analysis/report.hpp"
-#include "conv/conv_engine.hpp"
+#include "conv/registry.hpp"
 #include "core/timer.hpp"
 
 using namespace gpucnn;
@@ -36,23 +36,22 @@ int main() {
   filters.fill_uniform(rng);
 
   Tensor reference(cfg.output_shape());
-  conv::make_engine(conv::Strategy::kDirect)
-      ->forward(cfg, input, filters, reference);
+  conv::engine("direct").forward(cfg, input, filters, reference);
 
   Table table("real CPU engines on the 3x3 layer (forward pass)");
   table.header({"strategy", "time (ms)", "GFLOP/s", "max |err| vs direct",
                 "multiplies vs direct"});
   for (const auto s : {conv::Strategy::kDirect, conv::Strategy::kUnrolling,
                        conv::Strategy::kFft, conv::Strategy::kWinograd}) {
-    const auto engine = conv::make_engine(s);
+    const conv::ConvEngine& engine = conv::engine(conv::to_string(s));
     Tensor out(cfg.output_shape());
-    engine->forward(cfg, input, filters, out);  // warm-up + correctness
+    engine.forward(cfg, input, filters, out);  // warm-up + correctness
     const double err = max_abs_diff(reference, out);
 
     constexpr int kReps = 10;
     Timer timer;
     for (int r = 0; r < kReps; ++r) {
-      engine->forward(cfg, input, filters, out);
+      engine.forward(cfg, input, filters, out);
     }
     const double ms = timer.elapsed_ms() / kReps;
     const double gflops = cfg.forward_flops() / (ms * 1e6);

@@ -3,19 +3,13 @@
 #include <array>
 #include <cmath>
 #include <initializer_list>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/conv_runner.hpp"
-#include "conv/conv_engine.hpp"
-#include "conv/depthwise_conv.hpp"
 #include "conv/fft_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
-#include "conv/quantized_conv.hpp"
-#include "conv/tiled_fft_conv.hpp"
-#include "conv/winograd_conv.hpp"
+#include "conv/registry.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "core/workspace.hpp"
@@ -76,24 +70,6 @@ void add_failure(FuzzReport& report, std::size_t index,
   report.failures.push_back({index, cfg, std::move(what)});
 }
 
-/// The non-reference engines: factory strategies plus the variants the
-/// factory does not expose directly — implicit GEMM, tiled FFT, and the
-/// full-complex spectrum path kept as the rfft cross-check.
-std::vector<std::unique_ptr<conv::ConvEngine>> make_checked_engines() {
-  std::vector<std::unique_ptr<conv::ConvEngine>> engines;
-  engines.push_back(conv::make_engine(conv::Strategy::kUnrolling));
-  engines.push_back(std::make_unique<conv::ImplicitGemmConv>());
-  engines.push_back(conv::make_engine(conv::Strategy::kFft));
-  engines.push_back(
-      std::make_unique<conv::FftConv>(conv::FftConv::Spectrum::kFull));
-  engines.push_back(std::make_unique<conv::TiledFftConv>());
-  engines.push_back(conv::make_engine(conv::Strategy::kWinograd));
-  engines.push_back(
-      std::make_unique<conv::WinogradConv>(conv::WinogradTile::kF4));
-  engines.push_back(std::make_unique<conv::DepthwiseConv>());
-  return engines;
-}
-
 void check_engines(const ConvConfig& cfg, std::uint64_t seed,
                    std::size_t index, FuzzReport& report) {
   Rng rng(mix(seed, index) + 1);
@@ -104,14 +80,14 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
   Tensor grad_output(cfg.output_shape());
   grad_output.fill_uniform(rng);
 
-  const auto direct = conv::make_engine(conv::Strategy::kDirect);
+  const conv::ConvEngine& direct = conv::engine("direct");
   Tensor ref_out(cfg.output_shape());
   Tensor ref_gin(cfg.input_shape());
   Tensor ref_gfilt(cfg.filter_shape());
   try {
-    direct->forward(cfg, input, filters, ref_out);
-    direct->backward_data(cfg, grad_output, filters, ref_gin);
-    direct->backward_filter(cfg, input, grad_output, ref_gfilt);
+    direct.forward(cfg, input, filters, ref_out);
+    direct.backward_data(cfg, grad_output, filters, ref_gin);
+    direct.backward_filter(cfg, input, grad_output, ref_gfilt);
   } catch (const std::exception& e) {
     add_failure(report, index, cfg,
                 std::string("direct reference threw: ") + e.what());
@@ -122,6 +98,7 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
                 "direct reference produced non-finite values");
     return;
   }
+  report.engines_checked.emplace(direct.name());
 
   enum class PassKind { kForward, kBackwardData, kBackwardFilter };
   struct PassCheck {
@@ -138,7 +115,18 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
        filter_tolerance(cfg)},
   };
 
-  for (const auto& engine : make_checked_engines()) {
+  // Every other fp32 registry engine, plus the full-complex spectrum path
+  // kept as the rfft cross-check.
+  static const conv::FftConv fft_complex(conv::FftConv::Spectrum::kFull);
+  std::vector<const conv::ConvEngine*> engines;
+  for (const auto& entry : conv::registry()) {
+    if (entry.dtype == conv::Dtype::kF32 && &entry.engine != &direct) {
+      engines.push_back(&entry.engine);
+    }
+  }
+  engines.push_back(&fft_complex);
+
+  for (const conv::ConvEngine* engine : engines) {
     if (!engine->supports(cfg)) {
       ++report.engine_skips;
       continue;
@@ -164,6 +152,7 @@ void check_engines(const ConvConfig& cfg, std::uint64_t seed,
         continue;
       }
       ++report.engine_checks;
+      report.engines_checked.emplace(engine->name());
       if (!finite(got)) {
         add_failure(report, index, cfg,
                     std::string(engine->name()) + " " + pass.label +
@@ -428,15 +417,12 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
 
   // fp32 reference: the same im2col+GEMM algorithm the int8 path
   // quantizes, so the only differences left are quantization error.
-  const auto fp32 = conv::make_engine(conv::Strategy::kUnrolling);
+  const conv::ConvEngine& fp32 = conv::engine("unrolling");
   Tensor ref_plain(cfg.output_shape());
   Tensor ref_fused(cfg.output_shape());
   try {
-    fp32->forward(cfg, input, filters, ref_plain);
-    if (!fp32->forward_fused(cfg, input, filters, bias, true, ref_fused)) {
-      fail("fp32 reference has no fused epilogue");
-      return;
-    }
+    fp32.forward(cfg, input, filters, ref_plain);
+    fp32.forward(cfg, input, filters, ref_fused, {.bias = bias, .relu = true});
   } catch (const std::exception& e) {
     fail(std::string("fp32 reference threw: ") + e.what());
     return;
@@ -467,45 +453,35 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
   const quant::ActQuant aq =
       quant::choose_act_quant(-act_absmax, act_absmax);
 
-  struct Variant {
-    const char* label;
-    bool implicit;
-    bool relu;
-  };
-  const Variant variants[] = {
-      {"unrolling-int8 plain", false, false},
-      {"unrolling-int8 fused", false, true},
-      {"implicit-int8 plain", true, false},
-      {"implicit-int8 fused", true, true},
-  };
-  for (const auto& v : variants) {
-    if (v.implicit && cfg.groups != 1) continue;
-    const Tensor& reference = v.relu ? ref_fused : ref_plain;
-    const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
-    Tensor got(cfg.output_shape());
-    try {
-      if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, aq, b, v.relu,
-                                         got);
-      } else {
-        conv::quantized_gemm_forward(cfg, input, qw, aq, b, v.relu, got);
+  for (const auto& entry : conv::registry()) {
+    if (entry.dtype != conv::Dtype::kInt8 || !entry.engine.supports(cfg)) {
+      continue;
+    }
+    for (const bool relu : {false, true}) {
+      const std::string label =
+          std::string(entry.name()) + (relu ? " fused" : " plain");
+      const Tensor& reference = relu ? ref_fused : ref_plain;
+      const std::span<const float> b =
+          relu ? std::span<const float>(bias) : std::span<const float>();
+      Tensor got(cfg.output_shape());
+      try {
+        entry.quantized(cfg, input, qw, nullptr, aq, b, relu, got);
+      } catch (const std::exception& e) {
+        fail(label + " threw: " + e.what());
+        continue;
       }
-    } catch (const std::exception& e) {
-      fail(std::string(v.label) + " threw: " + e.what());
-      continue;
-    }
-    ++report.int8_checks;
-    if (!finite(got)) {
-      fail(std::string(v.label) + " produced non-finite values");
-      continue;
-    }
-    const double diff = max_abs_diff(reference, got);
-    if (!(diff < tolerance)) {
-      std::ostringstream os;
-      os << v.label << " disagrees with fp32: max|diff| = " << diff
-         << " (quantization tolerance " << tolerance << ')';
-      fail(os.str());
+      ++report.int8_checks;
+      if (!finite(got)) {
+        fail(label + " produced non-finite values");
+        continue;
+      }
+      const double diff = max_abs_diff(reference, got);
+      if (!(diff < tolerance)) {
+        std::ostringstream os;
+        os << label << " disagrees with fp32: max|diff| = " << diff
+           << " (quantization tolerance " << tolerance << ')';
+        fail(os.str());
+      }
     }
   }
 }
@@ -524,89 +500,54 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
     add_failure(report, index, cfg, "prepacked forward: " + what);
   };
 
-  // The staged twin of each variant below runs the same kernels with the
-  // same epilogue; only the weight panels come from a per-call pack
-  // instead of the cache, so agreement must be exact.
-  struct Variant {
-    bool implicit;
-    bool relu;
-  };
-  constexpr Variant kVariants[] = {
-      {false, false}, {false, true}, {true, false}, {true, true}};
-
-  const auto gemm = conv::make_engine(conv::Strategy::kUnrolling);
-  const conv::ImplicitGemmConv implicit;
-  const conv::PackedFilters packed = conv::prepack_filters(cfg, filters);
-  for (const auto& v : kVariants) {
-    if (v.implicit && cfg.groups != 1) continue;
-    const conv::ConvEngine& engine =
-        v.implicit ? static_cast<const conv::ConvEngine&>(implicit) : *gemm;
-    const std::string label = std::string(engine.name()) +
-                              (v.relu ? " fused" : " plain");
-    const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
+  // Each staged/prepacked pair below runs the same kernels with the same
+  // epilogue; only the weight panels come from the cache instead of a
+  // per-call pack (or per-call Winograd filter transform), so agreement
+  // must be exact.
+  const auto compare = [&](const std::string& label, const auto& staged_fn,
+                           const auto& reused_fn) {
     Tensor staged(cfg.output_shape());
     Tensor reused(cfg.output_shape());
     try {
-      if (!engine.forward_fused(cfg, input, filters, b, v.relu, staged)) {
-        fail(label + ": staged forward refused the config");
-        continue;
-      }
-      if (!engine.forward_prepacked(cfg, input, packed, filters, b, v.relu,
-                                    reused)) {
-        fail(label + ": forward_prepacked refused its own pack");
-        continue;
-      }
+      staged_fn(staged);
+      reused_fn(reused);
     } catch (const std::exception& e) {
       fail(label + " threw: " + e.what());
-      continue;
+      return;
     }
     ++report.prepack_checks;
     if (!finite(reused)) {
       fail(label + " produced non-finite values");
-      continue;
-    }
-    if (max_abs_diff(staged, reused) != 0.0) {
+    } else if (max_abs_diff(staged, reused) != 0.0) {
       fail(label + " is not bit-identical to the staged forward");
     }
-  }
+  };
 
-  // Winograd packs pre-transformed U panels instead of im2col panels,
-  // but the staged path runs the identical filter transform per call, so
-  // the bit-identity bar holds for both tile sizes too.
-  const conv::WinogradConv wino_f2(conv::WinogradTile::kF2);
-  const conv::WinogradConv wino_f4(conv::WinogradTile::kF4);
-  for (const conv::WinogradConv* wino : {&wino_f2, &wino_f4}) {
-    if (!wino->supports(cfg)) continue;
+  for (const auto& entry : conv::registry()) {
+    const conv::ConvEngine& engine = entry.engine;
+    if (engine.pack_kind() == conv::PackKind::kNone ||
+        !engine.supports(cfg)) {
+      continue;
+    }
+    const conv::PackedFilters packed =
+        conv::prepack_filters(cfg, filters, engine);
+    if (!packed.serves(engine, filters)) {
+      fail(std::string(entry.name()) + ": its own pack does not serve it");
+      continue;
+    }
     for (const bool relu : {false, true}) {
-      const std::string label = std::string(wino->name()) +
-                                (relu ? " fused" : " plain");
-      const std::span<const float> b =
-          relu ? std::span<const float>(bias) : std::span<const float>();
-      Tensor staged(cfg.output_shape());
-      Tensor reused(cfg.output_shape());
-      try {
-        if (!wino->forward_fused(cfg, input, filters, b, relu, staged)) {
-          fail(label + ": staged forward refused the config");
-          continue;
-        }
-        if (!wino->forward_prepacked(cfg, input, packed, filters, b, relu,
-                                     reused)) {
-          fail(label + ": forward_prepacked refused its own pack");
-          continue;
-        }
-      } catch (const std::exception& e) {
-        fail(label + " threw: " + e.what());
-        continue;
-      }
-      ++report.prepack_checks;
-      if (!finite(reused)) {
-        fail(label + " produced non-finite values");
-        continue;
-      }
-      if (max_abs_diff(staged, reused) != 0.0) {
-        fail(label + " is not bit-identical to the staged forward");
-      }
+      const conv::Epilogue epilogue{
+          .bias = relu ? std::span<const float>(bias)
+                       : std::span<const float>(),
+          .relu = relu};
+      compare(
+          std::string(entry.name()) + (relu ? " fused" : " plain"),
+          [&](Tensor& out) {
+            engine.forward(cfg, input, filters, out, epilogue);
+          },
+          [&](Tensor& out) {
+            engine.forward(cfg, input, {filters, &packed}, out, epilogue);
+          });
     }
   }
 
@@ -624,38 +565,21 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
       quant::choose_act_quant(-act_absmax, act_absmax);
   const conv::PackedQFilters qpacked =
       conv::prepack_quantized_filters(cfg, qw);
-  for (const auto& v : kVariants) {
-    if (v.implicit && cfg.groups != 1) continue;
-    const std::string label =
-        std::string(v.implicit ? "implicit-int8" : "unrolling-int8") +
-        (v.relu ? " fused" : " plain");
-    const std::span<const float> b =
-        v.relu ? std::span<const float>(bias) : std::span<const float>();
-    Tensor staged(cfg.output_shape());
-    Tensor reused(cfg.output_shape());
-    try {
-      if (v.implicit) {
-        conv::quantized_implicit_forward(cfg, input, qw, aq, b, v.relu,
-                                         staged);
-        conv::quantized_implicit_forward(cfg, input, qw, qpacked, aq, b,
-                                         v.relu, reused);
-      } else {
-        conv::quantized_gemm_forward(cfg, input, qw, aq, b, v.relu,
-                                     staged);
-        conv::quantized_gemm_forward(cfg, input, qw, qpacked, aq, b,
-                                     v.relu, reused);
-      }
-    } catch (const std::exception& e) {
-      fail(label + " threw: " + e.what());
+  for (const auto& entry : conv::registry()) {
+    if (entry.dtype != conv::Dtype::kInt8 || !entry.engine.supports(cfg)) {
       continue;
     }
-    ++report.prepack_checks;
-    if (!finite(reused)) {
-      fail(label + " produced non-finite values");
-      continue;
-    }
-    if (max_abs_diff(staged, reused) != 0.0) {
-      fail(label + " is not bit-identical to the staged forward");
+    for (const bool relu : {false, true}) {
+      const std::span<const float> b =
+          relu ? std::span<const float>(bias) : std::span<const float>();
+      compare(
+          std::string(entry.name()) + (relu ? " fused" : " plain"),
+          [&](Tensor& out) {
+            entry.quantized(cfg, input, qw, nullptr, aq, b, relu, out);
+          },
+          [&](Tensor& out) {
+            entry.quantized(cfg, input, qw, &qpacked, aq, b, relu, out);
+          });
     }
   }
 }

@@ -5,11 +5,10 @@
 // generates adversarial-but-valid ConvConfigs (stride > kernel,
 // pad >= kernel, single-channel / single-image shapes, non-power-of-two
 // sizes that stress FFT padding, grouped and odd geometries), runs each
-// through every real numeric engine (direct / im2col+GEMM /
-// implicit-GEMM / FFT / tiled-FFT / Winograd) on all three passes,
-// cross-checks outputs against the direct reference, and validates the
-// seven framework plans against the gpusim invariants (finite
-// non-negative times, workspace accounting balances).
+// through every fp32 engine of the registry (conv/registry.hpp) on all
+// three passes, cross-checks outputs against the direct reference, and
+// validates the seven framework plans against the gpusim invariants
+// (finite non-negative times, workspace accounting balances).
 //
 // Everything is deterministic per (seed, index): config `index` of seed
 // `S` is identical no matter which subrange runs, so a failure is
@@ -21,7 +20,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,9 @@ struct FuzzReport {
   std::size_t int8_checks = 0;    ///< int8-vs-fp32 forward comparisons
   std::size_t prepack_checks = 0;  ///< prepacked-vs-staged comparisons
   std::size_t tune_checks = 0;    ///< tune-cache round-trips validated
+  /// Engines that ran on at least one config's engine check (the direct
+  /// reference included).
+  std::set<std::string, std::less<>> engines_checked;
   std::vector<FuzzFailure> failures;
 
   [[nodiscard]] bool ok() const { return failures.empty(); }
@@ -96,8 +100,9 @@ void check_config(const ConvConfig& cfg, std::uint64_t seed,
 void check_fused(const ConvConfig& cfg, std::uint64_t seed,
                  std::size_t index, FuzzReport& report);
 
-/// Cross-checks the int8 quantized forwards (im2col+int8-GEMM and,
-/// when groups == 1, tiled implicit) against the fp32 im2col+GEMM
+/// Cross-checks the int8 registry engines' quantized forwards
+/// (im2col+int8-GEMM and, when groups == 1, tiled implicit) with
+/// offline-quantized weights against the fp32 im2col+GEMM
 /// reference — plain and fused bias+ReLU — under a quantization-aware
 /// tolerance: K * (|a|max * dw/2 + |w|max * da/2 + da * dw/4), the
 /// worst-case dequantized rounding error of a K-term dot product with
@@ -107,11 +112,13 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
                 std::size_t index, FuzzReport& report);
 
 /// Cross-checks the prepacked forwards against their staged twins with
-/// identical inputs, weights, and fused bias+ReLU epilogues: im2col+GEMM
-/// and (groups == 1) implicit-GEMM in fp32, plus both int8 quantized
-/// paths. Pack-once/execute-many reuses the exact panel bytes the staged
-/// path packs per call, so every comparison demands bit-identity — any
-/// difference is a packing-layout or offset bug, not rounding.
+/// identical inputs, weights, and fused bias+ReLU epilogues: every fp32
+/// registry engine with a pack kind that supports the config, plus the
+/// int8 engines' quantized paths. Pack-once/execute-many reuses the
+/// exact panel bytes (or, for Winograd, the identical filter transform)
+/// the staged path computes per call, so every comparison demands
+/// bit-identity — any difference is a packing-layout or offset bug, not
+/// rounding.
 void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
                    std::size_t index, FuzzReport& report);
 

@@ -1,15 +1,16 @@
-// The common interface of the three convolution strategies the paper
-// surveys (§II.B): direct, unrolling-based (im2col + GEMM) and FFT-based.
+// The common interface of the convolution engines that implement the
+// strategies the paper surveys (§II.B): direct, unrolling-based (im2col +
+// GEMM) and FFT-based, plus Winograd. conv/registry.hpp lists the
+// tunable engines.
 //
 // Convolution follows the deep-learning convention (cross-correlation):
 //   out(n,f,y,x) = sum_{c,ky,kx} in(n,c, y*s + ky - p, x*s + kx - p)
 //                                * w(f,c,ky,kx)
-// All three engines implement forward, backward-data and backward-filter
-// passes and must agree bit-for-tolerance with each other; the agreement
-// is enforced by parameterised tests.
+// Every fp32 engine implements forward, backward-data and backward-filter
+// passes and must agree bit-for-tolerance with the others; the agreement
+// is enforced by parameterised tests and the conv fuzzer.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -27,30 +28,33 @@ enum class Strategy { kDirect, kUnrolling, kFft, kWinograd };
 
 [[nodiscard]] std::string_view to_string(Strategy s);
 
+/// The weight layout an engine's forward can read ready-made instead of
+/// re-deriving it from the filter tensor every call.
+enum class PackKind {
+  kNone,        ///< reads the filter tensor directly
+  kGemm,        ///< per-group GEMM-A panels of W_g (F_g x CKK)
+  kWinogradF2,  ///< transformed F(2x2,3x3) filters, one panel per position
+  kWinogradF4,  ///< transformed F(4x4,3x3) filters, one panel per position
+};
+
 class ConvEngine;
 
 /// A conv layer's filters packed once into blas micro-kernel panels
-/// (blas/packed.hpp), one PackedMatrix per group — the GEMM engines'
-/// weight operand. Immutable after construction, so instances are shared
-/// by const reference / shared_ptr across serving workers; each pack
-/// retains a span over the filter tensor it was built from, which must
-/// outlive the pack (the layer owns both).
+/// (blas/packed.hpp) of one PackKind. Immutable after construction, so
+/// instances are shared by const reference / shared_ptr across serving
+/// workers.
+///
+/// kGemm: one PackedMatrix per group whose origin is the caller's filter
+/// tensor, which must outlive the pack (the layer owns both). Winograd
+/// kinds: the pre-transformed filters U = G g G^T laid out
+/// [alpha^2][F][C] in the owned `data`, one PackedMatrix per tile
+/// position over it — owned here because the transformed values exist
+/// nowhere else. Move-only: a copy would leave the copied panels' origin
+/// spans pointing into the source's backing storage.
 struct PackedFilters {
-  std::vector<blas::PackedMatrix> groups;
-
-  /// Winograd scattered-GEMM panels: pre-transformed filters U = G g G^T
-  /// laid out [alpha^2][F][C], one PackedMatrix per tile position over
-  /// the owned backing buffer. Built only for Winograd-eligible configs
-  /// (k=3, s=1, pad <= 2, ungrouped) and the tile sizes prepack_filters
-  /// was asked for; empty otherwise. The backing
-  /// vectors are owned here because — unlike the GEMM groups, whose
-  /// origin is the caller's filter tensor — the transformed values exist
-  /// nowhere else. Move-only: a copy would leave the copied panels'
-  /// origin spans pointing into the source's backing storage.
-  std::vector<float> winograd_f2_data;
-  std::vector<blas::PackedMatrix> winograd_f2;
-  std::vector<float> winograd_f4_data;
-  std::vector<blas::PackedMatrix> winograd_f4;
+  PackKind kind = PackKind::kNone;
+  std::vector<float> data;
+  std::vector<blas::PackedMatrix> panels;
 
   /// The filter data the panels were packed from.
   const float* source = nullptr;
@@ -62,32 +66,47 @@ struct PackedFilters {
   PackedFilters& operator=(const PackedFilters&) = delete;
 
   [[nodiscard]] std::size_t bytes() const {
-    std::size_t total = 0;
-    for (const auto& g : groups) total += g.bytes();
-    for (const auto& t : winograd_f2) total += t.bytes();
-    for (const auto& t : winograd_f4) total += t.bytes();
-    total += (winograd_f2_data.size() + winograd_f4_data.size()) *
-             sizeof(float);
+    std::size_t total = data.size() * sizeof(float);
+    for (const auto& p : panels) total += p.bytes();
     return total;
   }
 
   /// True when the pack was built from `filters` and holds the panels
-  /// `engine`'s forward_prepacked reads, packed for the SIMD level
-  /// dispatched now.
+  /// `engine`'s forward reads, packed for the SIMD level dispatched now.
   [[nodiscard]] bool serves(const ConvEngine& engine,
                             const Tensor& filters) const;
 };
 
-/// Packs `filters` (cfg.filter_shape()) for the prepack-capable engines:
-/// per group, W_g(F_g x CKK) becomes the A operand of the forward GEMM,
-/// and Winograd-eligible configs get both tile sizes' transformed
-/// panels. Given a `consumer`, only the panels that engine's
-/// forward_prepacked reads are built (none for an engine without a
-/// prepacked path). Engines consume the result through
-/// forward_prepacked().
-[[nodiscard]] PackedFilters prepack_filters(
-    const ConvConfig& cfg, const Tensor& filters,
-    const ConvEngine* consumer = nullptr);
+/// Packs `filters` (cfg.filter_shape()) in `consumer`'s pack kind: per
+/// group, W_g(F_g x CKK) becomes the A operand of the forward GEMM; a
+/// Winograd engine gets its tile size's transformed panels (none when
+/// the config is not Winograd-eligible). An engine of kind kNone gets an
+/// empty pack.
+[[nodiscard]] PackedFilters prepack_filters(const ConvConfig& cfg,
+                                            const Tensor& filters,
+                                            const ConvEngine& consumer);
+
+/// A forward's weight operand: the filter tensor plus, optionally, a pack
+/// built from it. A pack that does not serve the engine is ignored (the
+/// engine reads `filters`), so a stale or foreign pack degrades to the
+/// staged path, never to a wrong answer.
+struct Weights {
+  // NOLINTNEXTLINE(google-explicit-constructor): a bare filter tensor
+  // is unpacked weights.
+  Weights(const Tensor& tensor, const PackedFilters* pack = nullptr)
+      : filters(tensor), packed(pack) {}
+
+  const Tensor& filters;
+  const PackedFilters* packed;
+};
+
+/// What a forward does to each output element after the convolution:
+/// add the per-filter bias (empty, or length cfg.filters), then clamp at
+/// zero when `relu` is set.
+struct Epilogue {
+  std::span<const float> bias;
+  bool relu = false;
+};
 
 /// A convolution implementation: stateless and thread-compatible; all
 /// buffers are caller-owned.
@@ -102,41 +121,17 @@ class ConvEngine {
   /// require stride 1).
   [[nodiscard]] virtual bool supports(const ConvConfig& cfg) const = 0;
 
-  /// output must be pre-shaped to cfg.output_shape(); it is overwritten.
-  virtual void forward(const ConvConfig& cfg, const Tensor& input,
-                       const Tensor& filters, Tensor& output) const = 0;
+  /// The prepacked layout forward() can read (kNone: it reads only the
+  /// filter tensor).
+  [[nodiscard]] virtual PackKind pack_kind() const { return PackKind::kNone; }
 
-  /// Fused forward: output = relu?(conv(input, filters) + bias), with the
-  /// per-filter bias broadcast (length cfg.filters) and the optional ReLU
-  /// applied inside the engine's own write-back — bit-for-bit identical
-  /// to forward() followed by the separate bias/activation passes.
-  /// Returns false when the engine has no fused path (the default); the
-  /// caller then runs the unfused sequence itself.
-  [[nodiscard]] virtual bool forward_fused(const ConvConfig&, const Tensor&,
-                                           const Tensor&,
-                                           std::span<const float> /*bias*/,
-                                           bool /*relu*/, Tensor&) const {
-    return false;
-  }
-
-  /// True when the engine can consume prepack_filters() output via
-  /// forward_prepacked() — the pack-once/execute-many inference path.
-  [[nodiscard]] virtual bool supports_prepack() const { return false; }
-
-  /// Fused forward over prepacked filters: bit-identical to
-  /// forward_fused(cfg, input, filters, bias, relu, output), reading the
-  /// weight panels from `packed` instead of re-packing per GEMM call.
-  /// `filters` stays the fallback operand: a stale pack (SIMD dispatch
-  /// changed since packing) or shape-mismatched pack degrades to the
-  /// staged path inside blas, never to a wrong answer. Returns false when
-  /// the engine has no prepacked path (the default); the caller then runs
-  /// forward_fused / the unfused sequence itself.
-  [[nodiscard]] virtual bool forward_prepacked(
-      const ConvConfig&, const Tensor&, const PackedFilters& /*packed*/,
-      const Tensor& /*filters*/, std::span<const float> /*bias*/,
-      bool /*relu*/, Tensor&) const {
-    return false;
-  }
+  /// output = relu?(conv(input, weights.filters) + bias). output must be
+  /// pre-shaped to cfg.output_shape(); it is overwritten. Engines with a
+  /// fused write-back apply the epilogue there; the others apply it as a
+  /// separate add_bias + clamp pass — bit for bit the same result either
+  /// way.
+  void forward(const ConvConfig& cfg, const Tensor& input, Weights weights,
+               Tensor& output, Epilogue epilogue = {}) const;
 
   /// grad_input must be pre-shaped to cfg.input_shape(); overwritten.
   virtual void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
@@ -149,12 +144,20 @@ class ConvEngine {
                                Tensor& grad_filters) const = 0;
 
  protected:
-  /// Shared argument validation for the three passes.
-  static void validate_forward(const ConvConfig& cfg, const Tensor& input,
-                               const Tensor& filters, const Tensor& output);
-};
+  /// The engine's forward, called with validated shapes and bias length.
+  virtual void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                            Weights weights, Tensor& output,
+                            Epilogue epilogue) const = 0;
 
-/// Factory for the built-in engines.
-[[nodiscard]] std::unique_ptr<ConvEngine> make_engine(Strategy strategy);
+  /// The separate epilogue pass for engines without a fused write-back:
+  /// add_bias, then the ReLU clamp.
+  static void apply_epilogue(const ConvConfig& cfg, Epilogue epilogue,
+                             Tensor& output);
+
+  /// `weights.packed` when it holds `count` panels of `kind`, else nullptr.
+  [[nodiscard]] static const PackedFilters* usable_pack(Weights weights,
+                                                        PackKind kind,
+                                                        std::size_t count);
+};
 
 }  // namespace gpucnn::conv

@@ -4,9 +4,10 @@
 
 namespace gpucnn::conv {
 
-void DirectConv::forward(const ConvConfig& cfg, const Tensor& input,
-                         const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
+void DirectConv::forward_impl(const ConvConfig& cfg, const Tensor& input,
+                              Weights weights, Tensor& output,
+                              Epilogue epilogue) const {
+  const Tensor& filters = weights.filters;
   const std::size_t o = cfg.output();
   const std::size_t in = cfg.input;
   const std::size_t k = cfg.kernel;
@@ -42,6 +43,7 @@ void DirectConv::forward(const ConvConfig& cfg, const Tensor& input,
       }
     }
   });
+  apply_epilogue(cfg, epilogue, output);
 }
 
 void DirectConv::backward_data(const ConvConfig& cfg,

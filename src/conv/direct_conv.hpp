@@ -18,13 +18,17 @@ class DirectConv final : public ConvEngine {
     return true;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
                        const Tensor& grad_output,
                        Tensor& grad_filters) const override;
+
+ private:
+  /// No fused write-back: the epilogue runs as a separate pass.
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

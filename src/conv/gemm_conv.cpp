@@ -42,40 +42,12 @@ bool set_pointwise_fast_path(bool enabled) {
   return g_pointwise_fast_path.exchange(enabled, std::memory_order_relaxed);
 }
 
-void GemmConv::forward(const ConvConfig& cfg, const Tensor& input,
-                       const Tensor& filters, Tensor& output) const {
-  run_forward(cfg, input, filters, output, nullptr, false);
-}
-
-bool GemmConv::forward_fused(const ConvConfig& cfg, const Tensor& input,
-                             const Tensor& filters,
-                             std::span<const float> bias, bool relu,
-                             Tensor& output) const {
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu);
-  return true;
-}
-
-bool GemmConv::forward_prepacked(const ConvConfig& cfg, const Tensor& input,
-                                 const PackedFilters& packed,
-                                 const Tensor& filters,
-                                 std::span<const float> bias, bool relu,
-                                 Tensor& output) const {
-  if (packed.groups.size() != cfg.groups) return false;
-  check(bias.empty() || bias.size() == cfg.filters,
-        "fused bias length must equal the filter count");
-  run_forward(cfg, input, filters, output,
-              bias.empty() ? nullptr : bias.data(), relu, &packed);
-  return true;
-}
-
-void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
-                           const Tensor& filters, Tensor& output,
-                           const float* bias, bool relu,
-                           const PackedFilters* packed) {
-  validate_forward(cfg, input, filters, output);
+void GemmConv::forward_impl(const ConvConfig& cfg, const Tensor& input,
+                            Weights weights, Tensor& output,
+                            Epilogue epilogue) const {
+  const Tensor& filters = weights.filters;
+  const PackedFilters* packed =
+      usable_pack(weights, PackKind::kGemm, cfg.groups);
   const ConvConfig gv = group_view(cfg);
   const std::size_t o = cfg.output();
   const std::size_t ckk = gv.channels * cfg.kernel * cfg.kernel;
@@ -99,15 +71,17 @@ void GemmConv::run_forward(const ConvConfig& cfg, const Tensor& input,
         b = col.span();
       }
       const blas::Epilogue ep{
-          .bias = bias == nullptr ? nullptr : bias + g * gv.filters,
-          .relu = relu};
+          .bias = epilogue.bias.empty()
+                      ? nullptr
+                      : epilogue.bias.data() + g * gv.filters,
+          .relu = epilogue.relu};
       const std::span<float> out{output.plane(n, g * gv.filters),
                                  gv.filters * cols};
       if (packed != nullptr) {
         // Weights come from the per-group pack; a stale or mismatched
         // pack falls back to the staged path inside the driver.
         blas::sgemm_prepacked(gv.filters, cols, ckk, 1.0F,
-                              packed->groups[g], Trans::kNo, b, cols, 0.0F,
+                              packed->panels[g], Trans::kNo, b, cols, 0.0F,
                               out, cols, ep);
       } else {
         blas::sgemm(Trans::kNo, Trans::kNo, gv.filters, cols, ckk, 1.0F,

@@ -24,26 +24,8 @@ class GemmConv final : public ConvEngine {
   [[nodiscard]] bool supports(const ConvConfig&) const override {
     return true;
   }
+  [[nodiscard]] PackKind pack_kind() const override { return PackKind::kGemm; }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  /// Bias + ReLU ride the per-group SGEMM's write-back epilogue (the
-  /// GEMM's M rows are exactly this group's filters).
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
-  /// Per-group SGEMMs consume the cached weight panels (A operand)
-  /// instead of re-packing them every call; the 1x1 fast path benefits
-  /// the most since the GEMM is then the whole forward.
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -51,10 +33,13 @@ class GemmConv final : public ConvEngine {
                        Tensor& grad_filters) const override;
 
  private:
-  static void run_forward(const ConvConfig& cfg, const Tensor& input,
-                          const Tensor& filters, Tensor& output,
-                          const float* bias, bool relu,
-                          const PackedFilters* packed = nullptr);
+  /// Per-group SGEMMs with bias + ReLU in the write-back epilogue (the
+  /// GEMM's M rows are exactly this group's filters), reading the cached
+  /// weight panels (A operand) when handed a kGemm pack; the 1x1 fast
+  /// path benefits the most since the GEMM is then the whole forward.
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

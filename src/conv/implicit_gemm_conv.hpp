@@ -25,25 +25,8 @@ class ImplicitGemmConv final : public ConvEngine {
   [[nodiscard]] bool supports(const ConvConfig& cfg) const override {
     return cfg.groups == 1;  // the tile gather assumes dense channels
   }
+  [[nodiscard]] PackKind pack_kind() const override { return PackKind::kGemm; }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  /// Bias + ReLU fuse into the per-tile SGEMM epilogue (the tile GEMM's
-  /// M rows are the full filter set, so bias indexes rows directly).
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
-  /// Every output tile re-reads the whole filter matrix, so the cached
-  /// weight panels are reused positions/kTile times per image.
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -51,10 +34,13 @@ class ImplicitGemmConv final : public ConvEngine {
                        Tensor& grad_filters) const override;
 
  private:
-  static void run_forward(const ConvConfig& cfg, const Tensor& input,
-                          const Tensor& filters, Tensor& output,
-                          const float* bias, bool relu,
-                          const PackedFilters* packed = nullptr);
+  /// Bias + ReLU fuse into the per-tile SGEMM epilogue (the tile GEMM's
+  /// M rows are the full filter set, so bias indexes rows directly).
+  /// Every output tile re-reads the whole filter matrix, so a kGemm
+  /// pack's panels are reused positions/kTile times per image.
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

@@ -39,12 +39,16 @@ struct PackedQFilters {
 [[nodiscard]] PackedQFilters prepack_quantized_filters(
     const ConvConfig& cfg, const quant::QuantizedFilters& qw);
 
-/// im2col + int8 GEMM forward with prepacked quantized weights `qw`
+/// im2col + int8 GEMM forward with offline-quantized weights `qw`
 /// (rows = cfg.filters, cols = group_channels * k * k) and fixed
 /// activation parameters `aq`. Bias (length cfg.filters) and ReLU ride
 /// the GEMM's re-quantizing write-back; output is dequantized fp32.
+/// Given `packed` (built from qw), the GEMMs read its cached weight tiles
+/// — bit-exact against the staged form, with the blas-level stale-pack
+/// fallback reading from qw.
 void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
                             const quant::QuantizedFilters& qw,
+                            const PackedQFilters* packed,
                             const quant::ActQuant& aq,
                             std::span<const float> bias, bool relu,
                             Tensor& output);
@@ -52,24 +56,7 @@ void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
 /// Tiled implicit-GEMM forward (groups == 1 only), same contract.
 void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
                                 const quant::QuantizedFilters& qw,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output);
-
-/// quantized_gemm_forward consuming cached weight tiles: bit-exact
-/// against the overload above, with the blas-level stale-pack fallback
-/// reading from qw (which `packed` was built from).
-void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
-                            const quant::QuantizedFilters& qw,
-                            const PackedQFilters& packed,
-                            const quant::ActQuant& aq,
-                            std::span<const float> bias, bool relu,
-                            Tensor& output);
-
-/// Prepacked twin of quantized_implicit_forward, same contract.
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const PackedQFilters& packed,
+                                const PackedQFilters* packed,
                                 const quant::ActQuant& aq,
                                 std::span<const float> bias, bool relu,
                                 Tensor& output);
@@ -87,17 +74,15 @@ class QuantizedGemmConv final : public ConvEngine {
     return true;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,
                                   const Tensor&, Tensor&) const override;
   [[noreturn]] void backward_filter(const ConvConfig&, const Tensor&,
                                     const Tensor&, Tensor&) const override;
+
+ private:
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
 };
 
 /// Dynamic-quantizing engine adapter over quantized_implicit_forward.
@@ -113,17 +98,15 @@ class QuantizedImplicitGemmConv final : public ConvEngine {
     return cfg.groups == 1;
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg,
-                                   const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
   [[noreturn]] void backward_data(const ConvConfig&, const Tensor&,
                                   const Tensor&, Tensor&) const override;
   [[noreturn]] void backward_filter(const ConvConfig&, const Tensor&,
                                     const Tensor&, Tensor&) const override;
+
+ private:
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
 };
 
 }  // namespace gpucnn::conv

@@ -37,13 +37,13 @@ std::size_t TiledFftConv::tile_for(const ConvConfig& cfg) const {
   return best;
 }
 
-void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
-                           const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
+void TiledFftConv::forward_impl(const ConvConfig& cfg, const Tensor& input,
+                                Weights weights, Tensor& output,
+                                Epilogue epilogue) const {
   check(supports(cfg), "FFT convolution requires stride 1");
   const std::size_t tile = tile_for(cfg);
   if (tile >= FftConv::transform_size(cfg)) {
-    untiled_.forward(cfg, input, filters, output);
+    untiled_.forward(cfg, input, weights.filters, output, epilogue);
     return;
   }
 
@@ -87,7 +87,7 @@ void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
   });
 
   Tensor tile_out(tcfg.output_shape());
-  untiled_.forward(tcfg, patches, filters, tile_out);
+  untiled_.forward(tcfg, patches, weights.filters, tile_out);
 
   // Scatter each tile's valid region into the output.
   parallel_for(0, tiles * tiles, [&](std::size_t t_index) {
@@ -109,6 +109,7 @@ void TiledFftConv::forward(const ConvConfig& cfg, const Tensor& input,
       }
     }
   });
+  apply_epilogue(cfg, epilogue, output);
 }
 
 void TiledFftConv::backward_data(const ConvConfig& cfg,

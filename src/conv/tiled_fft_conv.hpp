@@ -35,8 +35,6 @@ class TiledFftConv final : public ConvEngine {
     return FftConv{}.supports(cfg);
   }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
   /// Backward passes use the single-transform engine (as fbfft did:
   /// tiling was a forward-path optimisation).
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
@@ -49,6 +47,11 @@ class TiledFftConv final : public ConvEngine {
   [[nodiscard]] std::size_t tile_for(const ConvConfig& cfg) const;
 
  private:
+  /// No fused write-back: the epilogue runs as a separate pass.
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
+
   std::size_t tile_;
   FftConv untiled_;
 };

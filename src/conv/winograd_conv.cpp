@@ -838,51 +838,25 @@ void run_forward(const ConvConfig& cfg, WinogradTile tile,
 
 }  // namespace
 
-void WinogradConv::forward(const ConvConfig& cfg, const Tensor& input,
-                           const Tensor& filters, Tensor& output) const {
-  validate_forward(cfg, input, filters, output);
+void WinogradConv::forward_impl(const ConvConfig& cfg, const Tensor& input,
+                                Weights weights, Tensor& output,
+                                Epilogue epilogue) const {
   check(supports(cfg),
         "Winograd F(m,3) requires kernel 3, stride 1, pad <= 2, ungrouped");
-  run_forward(cfg, tile_, input, filters, nullptr, nullptr, false, output);
-}
-
-bool WinogradConv::forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                 const Tensor& filters,
-                                 std::span<const float> bias, bool relu,
-                                 Tensor& output) const {
-  if (!supports(cfg)) return false;
-  validate_forward(cfg, input, filters, output);
-  check(bias.empty() || bias.size() == cfg.filters, "bias length mismatch");
-  run_forward(cfg, tile_, input, filters, nullptr,
-              bias.empty() ? nullptr : bias.data(), relu, output);
-  return true;
-}
-
-bool WinogradConv::forward_prepacked(const ConvConfig& cfg,
-                                     const Tensor& input,
-                                     const PackedFilters& packed,
-                                     const Tensor& filters,
-                                     std::span<const float> bias, bool relu,
-                                     Tensor& output) const {
-  if (!supports(cfg)) return false;
-  const auto& panels = tile_ == WinogradTile::kF2 ? packed.winograd_f2
-                                                  : packed.winograd_f4;
-  if (panels.size() != winograd_positions(tile_)) {
-    // The pack was built without Winograd panels (e.g. for a config the
-    // transform rejects); degrade to the transform-on-the-fly path.
-    fallback_counter().add(1);
-    return false;
-  }
-  if (!panels.front().valid()) {
-    // Stale pack (SIMD dispatch changed since packing): sgemm_prepacked
-    // stages each panel's origin per call — correct, but the slow path.
+  const PackedFilters* packed =
+      usable_pack(weights, pack_kind(), winograd_positions(tile_));
+  // A pack without this tile size's panels (e.g. built for another
+  // engine) degrades to the transform-on-the-fly path; a stale one (SIMD
+  // dispatch changed since packing) makes sgemm_prepacked stage each
+  // panel's origin per call — correct, but the slow path.
+  if (weights.packed != nullptr &&
+      (packed == nullptr || !packed->panels.front().valid())) {
     fallback_counter().add(1);
   }
-  validate_forward(cfg, input, filters, output);
-  check(bias.empty() || bias.size() == cfg.filters, "bias length mismatch");
-  run_forward(cfg, tile_, input, filters, &panels,
-              bias.empty() ? nullptr : bias.data(), relu, output);
-  return true;
+  run_forward(cfg, tile_, input, weights.filters,
+              packed == nullptr ? nullptr : &packed->panels,
+              epilogue.bias.empty() ? nullptr : epilogue.bias.data(),
+              epilogue.relu, output);
 }
 
 void WinogradConv::backward_data(const ConvConfig& cfg,

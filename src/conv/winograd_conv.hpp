@@ -57,21 +57,12 @@ class WinogradConv final : public ConvEngine {
     return cfg.kernel == 3 && cfg.stride == 1 && cfg.pad <= 2 &&
            cfg.groups == 1;
   }
+  [[nodiscard]] PackKind pack_kind() const override {
+    return tile_ == WinogradTile::kF2 ? PackKind::kWinogradF2
+                                      : PackKind::kWinogradF4;
+  }
   [[nodiscard]] WinogradTile tile() const { return tile_; }
 
-  void forward(const ConvConfig& cfg, const Tensor& input,
-               const Tensor& filters, Tensor& output) const override;
-  [[nodiscard]] bool forward_fused(const ConvConfig& cfg, const Tensor& input,
-                                   const Tensor& filters,
-                                   std::span<const float> bias, bool relu,
-                                   Tensor& output) const override;
-  [[nodiscard]] bool supports_prepack() const override { return true; }
-  [[nodiscard]] bool forward_prepacked(const ConvConfig& cfg,
-                                       const Tensor& input,
-                                       const PackedFilters& packed,
-                                       const Tensor& filters,
-                                       std::span<const float> bias, bool relu,
-                                       Tensor& output) const override;
   void backward_data(const ConvConfig& cfg, const Tensor& grad_output,
                      const Tensor& filters, Tensor& grad_input) const override;
   void backward_filter(const ConvConfig& cfg, const Tensor& input,
@@ -83,6 +74,12 @@ class WinogradConv final : public ConvEngine {
   [[nodiscard]] static double arithmetic_reduction() { return 16.0 / 36.0; }
 
  private:
+  /// Bias + ReLU ride the inverse transform's write-back; a pack of this
+  /// tile size's kind replaces the per-call filter transform.
+  void forward_impl(const ConvConfig& cfg, const Tensor& input,
+                    Weights weights, Tensor& output,
+                    Epilogue epilogue) const override;
+
   WinogradTile tile_;
 };
 

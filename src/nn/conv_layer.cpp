@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "blas/vector_ops.hpp"
+#include "conv/registry.hpp"
 
 namespace gpucnn::nn {
 
@@ -10,14 +11,14 @@ ConvLayer::ConvLayer(std::string name, ConvConfig geometry,
                      conv::Strategy strategy)
     : Layer(std::move(name)),
       geometry_(geometry),
-      engine_(conv::make_engine(strategy)),
+      engine_(&conv::engine(conv::to_string(strategy))),
       weights_(geometry.filter_shape()),
       bias_(1, geometry.filters, 1, 1),
       grad_weights_(geometry.filter_shape()),
       grad_bias_(1, geometry.filters, 1, 1) {}
 
 void ConvLayer::set_strategy(conv::Strategy strategy) {
-  engine_ = conv::make_engine(strategy);
+  engine_ = &conv::engine(conv::to_string(strategy));
   prepacked_.reset();
 }
 
@@ -27,7 +28,7 @@ void ConvLayer::freeze_for_inference() {
   // — resolved (in measure mode, timed) here, inside set-up.
   const conv::ConvEngine& engine =
       engine_for(geometry_, tune::Pass::kForward);
-  if (!engine.supports_prepack()) {
+  if (engine.pack_kind() == conv::PackKind::kNone) {
     prepacked_.reset();
     return;
   }
@@ -36,7 +37,7 @@ void ConvLayer::freeze_for_inference() {
   // sharing it.
   if (prepacked_ != nullptr && prepacked_->serves(engine, weights_)) return;
   prepacked_ = std::make_shared<const conv::PackedFilters>(
-      conv::prepack_filters(geometry_, weights_, &engine));
+      conv::prepack_filters(geometry_, weights_, engine));
 }
 
 void ConvLayer::adopt_prepack(const Layer& owner) {
@@ -72,24 +73,12 @@ TensorShape ConvLayer::output_shape(const TensorShape& in) const {
 void ConvLayer::forward(const Tensor& in, Tensor& out) {
   const ConvConfig cfg = config_for_batch(in.shape().n);
   out.resize(cfg.output_shape());
-  const conv::ConvEngine& engine = engine_for(cfg, tune::Pass::kForward);
-  const bool ran_prepacked =
-      !training_ && prepacked_ != nullptr &&
-      engine.forward_prepacked(cfg, in, *prepacked_, weights_,
-                               bias_.data(), fused_relu_, out);
-  if (!ran_prepacked &&
-      !engine.forward_fused(cfg, in, weights_, bias_.data(), fused_relu_,
-                            out)) {
-    // Unfused reference sequence; with fused_relu_ the trailing clamp is
-    // exactly ActivationLayer(kRelu)'s forward, so both paths match the
-    // fused epilogue bit for bit.
-    engine.forward(cfg, in, weights_, out);
-    blas::add_bias(out.data(), bias_.data(), cfg.batch, cfg.filters,
-                   cfg.output() * cfg.output());
-    if (fused_relu_) {
-      for (float& v : out.data()) v = v > 0.0F ? v : 0.0F;
-    }
-  }
+  // With fused_relu_ the epilogue's clamp is exactly ActivationLayer
+  // (kRelu)'s forward, bit for bit, whichever engine runs.
+  const conv::PackedFilters* packed = training_ ? nullptr : prepacked_.get();
+  engine_for(cfg, tune::Pass::kForward)
+      .forward(cfg, in, {weights_, packed}, out,
+               {.bias = bias_.data(), .relu = fused_relu_});
   if (fused_relu_ && training_) {
     // Save the ReLU mask for backward. Post-clamp out > 0 is equivalent
     // to pre-activation > 0 (the ActivationLayer backward test).

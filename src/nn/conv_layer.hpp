@@ -4,10 +4,10 @@
 //
 // Two executor upgrades ride on top of the pluggable engine:
 //   * fused ReLU: when set_fused_relu(true), the layer computes
-//     relu(conv + bias) in one pass — through the engine's fused
-//     epilogue when it has one (GEMM engines apply bias + clamp in the
-//     SGEMM write-back tile), with a bit-identical separate-pass
-//     fallback otherwise. Backward masks the incoming gradient with the
+//     relu(conv + bias) in one forward call — inside the engine's
+//     write-back when it has one (GEMM engines apply bias + clamp in the
+//     SGEMM write-back tile), as a bit-identical separate pass
+//     otherwise. Backward masks the incoming gradient with the
 //     ReLU mask saved in forward, making the fused layer's gradients
 //     bit-for-bit equal to ConvLayer followed by ActivationLayer(kRelu).
 //   * autotuning: when set_auto_tune(true), every pass asks the
@@ -97,7 +97,7 @@ class ConvLayer final : public Layer {
                                                    tune::Pass pass) const;
 
   ConvConfig geometry_;
-  std::unique_ptr<conv::ConvEngine> engine_;
+  const conv::ConvEngine* engine_;  ///< the strategy's registry engine
   Tensor weights_;
   Tensor bias_;
   Tensor grad_weights_;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "blas/vector_ops.hpp"
+#include "conv/registry.hpp"
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
 #include "tune/autotuner.hpp"
@@ -76,29 +76,16 @@ void QuantizedConvLayer::adopt_prepack(const Layer& owner) {
   }
 }
 
-void QuantizedConvLayer::fp32_forward(const ConvConfig& cfg,
-                                      const conv::ConvEngine& engine,
-                                      const Tensor& in, Tensor& out) const {
-  if (!engine.forward_fused(cfg, in, weights_, bias_.data(), fused_relu_,
-                            out)) {
-    engine.forward(cfg, in, weights_, out);
-    blas::add_bias(out.data(), bias_.data(), cfg.batch, cfg.filters,
-                   cfg.output() * cfg.output());
-    if (fused_relu_) {
-      for (float& v : out.data()) v = v > 0.0F ? v : 0.0F;
-    }
-  }
-}
-
 void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
   const ConvConfig cfg = config_for_batch(in.shape().n);
   out.resize(cfg.output_shape());
+  const conv::Epilogue epilogue{.bias = bias_.data(), .relu = fused_relu_};
 
   if (!frozen_) {
     // Calibration mode: record the input range, answer in fp32 so the
     // downstream layers (and their observers) see exact activations.
     observer_.observe(in.data());
-    fp32_forward(cfg, tune::default_engine(), in, out);
+    tune::default_engine().forward(cfg, in, weights_, out, epilogue);
     return;
   }
 
@@ -119,36 +106,21 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
   // Engine selection: with autotuning on, ask for the int8 pool; the
   // tuner hands back an fp32 engine when int8 measured slower, in which
   // case the retained fp32 weights serve the layer unchanged.
-  bool implicit = false;
+  conv::QuantizedForward run = conv::quantized_gemm_forward;
   if (auto_tune_) {
     const conv::ConvEngine* tuned = tune::Autotuner::instance().choose(
         cfg, tune::Pass::kForward, tune::Dtype::kInt8);
     if (tuned != nullptr) {
-      const std::string_view name = tuned->name();
-      if (name == "implicit-int8") {
-        implicit = true;
-      } else if (name != "unrolling-int8") {
-        fp32_forward(cfg, *tuned, in, out);
+      const conv::EngineEntry& entry = *conv::find_engine(tuned->name());
+      if (entry.dtype != conv::Dtype::kInt8) {
+        tuned->forward(cfg, in, weights_, out, epilogue);
         return;
       }
+      run = entry.quantized;
     }
   }
-
-  if (implicit && cfg.groups == 1) {
-    if (qprepacked_ != nullptr) {
-      conv::quantized_implicit_forward(cfg, in, qweights_, *qprepacked_,
-                                       aq, bias_.data(), fused_relu_, out);
-    } else {
-      conv::quantized_implicit_forward(cfg, in, qweights_, aq,
-                                       bias_.data(), fused_relu_, out);
-    }
-  } else if (qprepacked_ != nullptr) {
-    conv::quantized_gemm_forward(cfg, in, qweights_, *qprepacked_, aq,
-                                 bias_.data(), fused_relu_, out);
-  } else {
-    conv::quantized_gemm_forward(cfg, in, qweights_, aq, bias_.data(),
-                                 fused_relu_, out);
-  }
+  run(cfg, in, qweights_, qprepacked_.get(), aq, epilogue.bias,
+      epilogue.relu, out);
 }
 
 void QuantizedConvLayer::backward(const Tensor&, const Tensor&, Tensor&) {

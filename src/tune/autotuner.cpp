@@ -5,17 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "analysis/recommend.hpp"
-#include "conv/depthwise_conv.hpp"
-#include "conv/direct_conv.hpp"
-#include "conv/fft_conv.hpp"
-#include "conv/gemm_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
-#include "conv/quantized_conv.hpp"
-#include "conv/tiled_fft_conv.hpp"
-#include "conv/winograd_conv.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -53,47 +46,13 @@ obs::Gauge& ms_spent_gauge() {
   return g;
 }
 
-/// The fp32 candidate pool: every distinct exact engine, in a fixed base
-/// order. Index 1 (unrolling) is the static default every ConvLayer
-/// starts with.
-std::span<const conv::ConvEngine* const> candidates() {
-  static const conv::DirectConv direct;
-  static const conv::GemmConv gemm;
-  static const conv::ImplicitGemmConv implicit;
-  static const conv::FftConv fft;              // half-spectrum
-  static const conv::TiledFftConv fft_tiled;
-  static const conv::WinogradConv winograd;
-  static const conv::DepthwiseConv depthwise;
-  static const conv::WinogradConv winograd_f4(conv::WinogradTile::kF4);
-  static const conv::ConvEngine* const all[] = {
-      &direct,    &gemm,      &implicit,   &fft,
-      &fft_tiled, &winograd,  &depthwise,  &winograd_f4};
-  return all;
-}
-
-/// The int8 pool, offered *in addition* to the fp32 pool, and only to
-/// Dtype::kInt8 callers on the forward pass (the engines are
-/// inference-only and lossy).
-std::span<const conv::ConvEngine* const> int8_candidates() {
-  static const conv::QuantizedGemmConv gemm_int8;
-  static const conv::QuantizedImplicitGemmConv implicit_int8;
-  static const conv::ConvEngine* const all[] = {&gemm_int8,
-                                                &implicit_int8};
-  return all;
-}
-
-constexpr std::size_t kDefaultIndex = 1;  // GemmConv ("unrolling")
-
-/// Combined indexing: [0, candidates().size()) are the fp32 engines,
-/// the int8 engines follow.
-const conv::ConvEngine* engine_at(std::size_t idx) {
-  const auto fp32 = candidates();
-  return idx < fp32.size() ? fp32[idx]
-                           : int8_candidates()[idx - fp32.size()];
-}
-
-bool int8_pool_eligible(Pass pass, Dtype dtype) {
-  return dtype == Dtype::kInt8 && pass == Pass::kForward;
+/// Whether `entry` belongs to the (pass, dtype) candidate pool: int8
+/// engines only for int8 callers, backward passes only for engines that
+/// have them (so the int8 engines, inference-only and lossy, join only
+/// the int8 forward pool).
+bool in_pool(const conv::EngineEntry& entry, Pass pass, Dtype dtype) {
+  return (entry.dtype == Dtype::kF32 || dtype == Dtype::kInt8) &&
+         (pass == Pass::kForward || entry.backward);
 }
 
 /// Comma-joined names of every engine this binary ships, in pool order —
@@ -101,102 +60,18 @@ bool int8_pool_eligible(Pass pass, Dtype dtype) {
 /// with a different engine set.
 std::string engine_set_string() {
   std::string out;
-  for (const auto* e : candidates()) {
+  for (const auto& e : conv::registry()) {
     if (!out.empty()) out += ',';
-    out += std::string(e->name());
-  }
-  for (const auto* e : int8_candidates()) {
-    out += ',';
-    out += std::string(e->name());
+    out += std::string(e.name());
   }
   return out;
-}
-
-/// Search order for `cfg`: candidates sorted by the recommend model's
-/// simulated runtimes (fastest strategy first), so on real hardware the
-/// likely winner is measured first and slow candidates hit the prune
-/// check. Engines the model cannot rank (Winograd post-dates the paper)
-/// append in base order.
-std::vector<std::size_t> prior_order(const ConvConfig& cfg, Pass pass,
-                                     Dtype dtype) {
-  std::vector<std::size_t> order;
-  order.reserve(candidates().size() + int8_candidates().size());
-  const auto push_unique = [&order](std::size_t idx) {
-    if (std::find(order.begin(), order.end(), idx) == order.end()) {
-      order.push_back(idx);
-    }
-  };
-
-  // Int8 callers: the quantized engines lead the search — they are the
-  // likely winners, so measuring them first arms the prune check before
-  // the slower fp32 candidates run.
-  if (int8_pool_eligible(pass, dtype)) {
-    for (std::size_t i = 0; i < int8_candidates().size(); ++i) {
-      push_unique(candidates().size() + i);
-    }
-  }
-
-  // Depthwise-degenerate shapes: the specialised engine is the likely
-  // winner (no im2col traffic, no wasted reduction), so it leads the
-  // search; the recommend model below only knows the paper's strategies.
-  if (cfg.groups == cfg.channels && cfg.groups > 1) push_unique(6);
-
-  // Zoo-dominant 3x3/stride-1 shapes: the scattered-GEMM Winograd
-  // engines win once the GEMMs are deep and wide enough to amortise the
-  // transforms — measured ≥2x over im2col GEMM at C,F ≥ 64 on 28²+
-  // feature maps. F(4x4,3x3) (4x multiply reduction) leads F(2x2,3x3).
-  // The size gate keeps small shapes (LeNet, fuzzer degenerates) on the
-  // unchanged prior.
-  if (cfg.kernel == 3 && cfg.stride == 1 && cfg.groups == 1 &&
-      cfg.pad <= 2 && cfg.channels >= 64 && cfg.filters >= 64 &&
-      cfg.input >= 28) {
-    push_unique(7);
-    push_unique(5);
-  }
-
-  analysis::Recommendation rec;
-  try {
-    rec = analysis::recommend(cfg);
-  } catch (const Error&) {
-    // Model failure is not fatal: fall back to the base order.
-  }
-  std::vector<const analysis::LayerResult*> ranked;
-  for (const auto& r : rec.results) {
-    if (r.supported && !r.out_of_memory) ranked.push_back(&r);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto* a, const auto* b) {
-              return a->runtime_ms < b->runtime_ms;
-            });
-  for (const auto* r : ranked) {
-    switch (frameworks::framework(r->framework).strategy()) {
-      case conv::Strategy::kUnrolling:
-        push_unique(1);  // im2col GEMM, then its zero-workspace variant
-        push_unique(2);
-        break;
-      case conv::Strategy::kDirect:
-        push_unique(0);
-        break;
-      case conv::Strategy::kFft:
-        push_unique(3);
-        push_unique(4);
-        break;
-      case conv::Strategy::kWinograd:
-        push_unique(5);
-        push_unique(7);
-        break;
-    }
-  }
-  for (std::size_t i = 0; i < candidates().size(); ++i) push_unique(i);
-  return order;
 }
 
 /// Scratch tensors for timing one (cfg, pass) key. Deterministic fill so
 /// repeated measurements exercise identical data.
 struct Workload {
   Tensor input, filters, output, grad_output, grad_input, grad_filters;
-
-  std::unique_ptr<conv::PackedFilters> packed;
+  std::map<conv::PackKind, conv::PackedFilters> packs;
 
   explicit Workload(const ConvConfig& cfg) {
     Rng rng(0x7u);
@@ -211,30 +86,30 @@ struct Workload {
     grad_filters.resize(cfg.filter_shape());
   }
 
-  /// Builds the packed-filter cache when `engine` can consume it on the
-  /// forward pass. Called outside every timed region: the timed runs
-  /// then measure the pack-once/execute-many form the inference layers
-  /// actually execute after freeze_for_inference(). The pack is
-  /// engine-agnostic, so one build serves every candidate.
-  void prepare(const conv::ConvEngine& engine, const ConvConfig& cfg,
-               Pass pass) {
-    if (pass == Pass::kForward && packed == nullptr &&
-        engine.supports_prepack()) {
-      packed = std::make_unique<conv::PackedFilters>(
-          conv::prepack_filters(cfg, filters));
+  /// The forward pack `engine` reads, built on first use of its kind and
+  /// outside every timed region: the timed runs then measure the
+  /// pack-once/execute-many form the inference layers actually execute
+  /// after freeze_for_inference(). One pack per kind serves every
+  /// candidate of that kind.
+  const conv::PackedFilters* pack_for(const conv::ConvEngine& engine,
+                                      const ConvConfig& cfg, Pass pass) {
+    const conv::PackKind kind = engine.pack_kind();
+    if (pass != Pass::kForward || kind == conv::PackKind::kNone) {
+      return nullptr;
     }
+    auto it = packs.find(kind);
+    if (it == packs.end()) {
+      it = packs.emplace(kind, conv::prepack_filters(cfg, filters, engine))
+               .first;
+    }
+    return &it->second;
   }
 
-  void run(const conv::ConvEngine& engine, const ConvConfig& cfg,
-           Pass pass) {
+  void run(const conv::ConvEngine& engine, const conv::PackedFilters* packed,
+           const ConvConfig& cfg, Pass pass) {
     switch (pass) {
       case Pass::kForward:
-        if (packed != nullptr &&
-            engine.forward_prepacked(cfg, input, *packed, filters, {},
-                                     false, output)) {
-          break;
-        }
-        engine.forward(cfg, input, filters, output);
+        engine.forward(cfg, input, {filters, packed}, output);
         break;
       case Pass::kBackwardData:
         engine.backward_data(cfg, grad_output, filters, grad_input);
@@ -246,23 +121,28 @@ struct Workload {
   }
 };
 
-/// Times `engine` on the workload: one warm-up run (returned through
-/// `warmup_ms`) then `trials` timed runs, reporting the minimum. Every
-/// run counts as a trial and its wall time accumulates in `spent_ms`.
+/// No prune bound: every candidate gets its timed repetitions.
+constexpr double kNoPrune = std::numeric_limits<double>::infinity();
+
+/// Times `engine` on the workload: one warm-up run, then `trials` timed
+/// runs unless the warm-up already exceeds `prune_ms`, reporting the
+/// minimum. Every run counts as a trial and its wall time accumulates in
+/// `spent_ms`.
 double time_engine(Workload& work, const conv::ConvEngine& engine,
                    const ConvConfig& cfg, Pass pass, int trials,
-                   double& warmup_ms, double& spent_ms) {
-  work.prepare(engine, cfg, pass);
+                   double prune_ms, double& spent_ms) {
+  const conv::PackedFilters* packed = work.pack_for(engine, cfg, pass);
   Timer timer;
-  work.run(engine, cfg, pass);
-  warmup_ms = timer.elapsed_ms();
+  work.run(engine, packed, cfg, pass);
+  const double warmup_ms = timer.elapsed_ms();
   trials_counter().add(1);
   spent_ms += warmup_ms;
+  if (warmup_ms > prune_ms) return warmup_ms;
 
   double best = warmup_ms;
   for (int t = 0; t < trials; ++t) {
     timer.reset();
-    work.run(engine, cfg, pass);
+    work.run(engine, packed, cfg, pass);
     const double ms = timer.elapsed_ms();
     trials_counter().add(1);
     spent_ms += ms;
@@ -288,23 +168,6 @@ std::optional<Dtype> dtype_from_name(std::string_view name) {
   if (name == "fp32") return Dtype::kF32;
   if (name == "int8") return Dtype::kInt8;
   return std::nullopt;
-}
-
-const conv::ConvEngine* engine_from_name(std::string_view name) {
-  for (const auto* e : candidates()) {
-    if (e->name() == name) return e;
-  }
-  for (const auto* e : int8_candidates()) {
-    if (e->name() == name) return e;
-  }
-  return nullptr;
-}
-
-bool is_int8_engine(const conv::ConvEngine* engine) {
-  for (const auto* e : int8_candidates()) {
-    if (e == engine) return true;
-  }
-  return false;
 }
 
 // --- minimal JSON parser (obs::Json is a writer-only document model) ---
@@ -583,19 +446,10 @@ Decision Autotuner::decide_locked(const ConvConfig& cfg, Pass pass,
 
 Decision Autotuner::heuristic_locked(const ConvConfig& cfg, Pass pass,
                                      Dtype dtype) {
-  (void)pass;  // the model prior does not distinguish passes
-  for (const std::size_t idx : prior_order(cfg, pass, dtype)) {
-    const conv::ConvEngine* engine = engine_at(idx);
-    if (engine->supports(cfg)) {
-      return {.engine = engine,
-              .engine_name = engine->name(),
-              .best_ms = 0.0,
-              .baseline_ms = 0.0,
-              .measured = false};
-    }
-  }
-  const conv::ConvEngine* fallback = candidates()[kDefaultIndex];
-  return {.engine = fallback, .engine_name = fallback->name()};
+  const auto order = search_order(cfg, pass, dtype);
+  const conv::ConvEngine* engine =
+      order.empty() ? &default_engine() : order.front();
+  return {.engine = engine, .engine_name = engine->name()};
 }
 
 Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
@@ -605,39 +459,21 @@ Decision Autotuner::measure_locked(const ConvConfig& cfg, Pass pass,
   double best_ms = 0.0;
   double baseline_ms = 0.0;
 
-  for (const std::size_t idx : prior_order(cfg, pass, dtype)) {
-    const conv::ConvEngine* engine = engine_at(idx);
-    if (!engine->supports(cfg)) continue;
-    work.prepare(*engine, cfg, pass);
-    double warmup = 0.0;
-    Timer probe;
-    work.run(*engine, cfg, pass);
-    warmup = probe.elapsed_ms();
-    trials_counter().add(1);
-    ms_spent_ += warmup;
-    double ms = warmup;
+  for (const conv::ConvEngine* engine : search_order(cfg, pass, dtype)) {
     // A warm-up already far behind the leader cannot win: skip its
-    // timed repetitions (the prior ordering makes this prune common).
-    const bool pruned =
-        best_engine != nullptr && warmup > kPruneFactor * best_ms;
-    if (!pruned) {
-      for (int t = 0; t < trials_; ++t) {
-        Timer timer;
-        work.run(*engine, cfg, pass);
-        const double rep = timer.elapsed_ms();
-        trials_counter().add(1);
-        ms_spent_ += rep;
-        ms = std::min(ms, rep);
-      }
-    }
-    if (idx == kDefaultIndex) baseline_ms = ms;
+    // timed repetitions (the search order makes this prune common).
+    const double ms = time_engine(
+        work, *engine, cfg, pass, trials_,
+        best_engine == nullptr ? kNoPrune : kPruneFactor * best_ms,
+        ms_spent_);
+    if (engine == &default_engine()) baseline_ms = ms;
     if (best_engine == nullptr || ms < best_ms) {
       best_engine = engine;
       best_ms = ms;
     }
   }
   ms_spent_gauge().set(ms_spent_);
-  if (best_engine == nullptr) best_engine = candidates()[kDefaultIndex];
+  if (best_engine == nullptr) best_engine = &default_engine();
   return {.engine = best_engine,
           .engine_name = best_engine->name(),
           .best_ms = best_ms,
@@ -649,18 +485,13 @@ std::vector<EngineTiming> Autotuner::measure_all(const ConvConfig& cfg,
                                                  Pass pass, Dtype dtype) {
   std::lock_guard lock(mutex_);
   Workload work(cfg);
-  const std::size_t pool_size =
-      candidates().size() +
-      (int8_pool_eligible(pass, dtype) ? int8_candidates().size() : 0);
   std::vector<EngineTiming> timings;
-  timings.reserve(pool_size);
-  for (std::size_t idx = 0; idx < pool_size; ++idx) {
-    const conv::ConvEngine* engine = engine_at(idx);
-    EngineTiming t{.engine_name = engine->name()};
-    if (engine->supports(cfg)) {
+  for (const auto& entry : conv::registry()) {
+    if (!in_pool(entry, pass, dtype)) continue;
+    EngineTiming t{.engine_name = entry.name()};
+    if (entry.engine.supports(cfg)) {
       t.eligible = true;
-      double warmup = 0.0;
-      t.ms = time_engine(work, *engine, cfg, pass, trials_, warmup,
+      t.ms = time_engine(work, entry.engine, cfg, pass, trials_, kNoPrune,
                          ms_spent_);
     }
     timings.push_back(t);
@@ -775,16 +606,16 @@ std::size_t Autotuner::ingest_cache_text(const std::string& text) {
         hex, sizeof hex, "0x%016llx",
         static_cast<unsigned long long>(key_hash(cfg, *pass, *dtype)));
     if (string_or(entry, "hash") != hex) continue;
-    const conv::ConvEngine* engine =
-        engine_from_name(string_or(entry, "engine"));
-    if (engine == nullptr || !engine->supports(cfg)) continue;
-    // An int8 engine can only ever have won in the int8 forward pool.
-    if (is_int8_engine(engine) && !int8_pool_eligible(*pass, *dtype)) {
+    // The engine must be one that could have won this key's search.
+    const conv::EngineEntry* found =
+        conv::find_engine(string_or(entry, "engine"));
+    if (found == nullptr || !in_pool(*found, *pass, *dtype) ||
+        !found->engine.supports(cfg)) {
       continue;
     }
     memo_[make_key(cfg, *pass, *dtype)] =
-        Decision{.engine = engine,
-                 .engine_name = engine->name(),
+        Decision{.engine = &found->engine,
+                 .engine_name = found->name(),
                  .best_ms = number_or(entry, "best_ms", 0.0),
                  .baseline_ms = number_or(entry, "baseline_ms", 0.0),
                  .measured = true};
@@ -838,8 +669,95 @@ int Autotuner::set_trials_for_testing(int trials) {
   return previous;
 }
 
+std::vector<const conv::ConvEngine*> search_order(const ConvConfig& cfg,
+                                                  Pass pass, Dtype dtype) {
+  std::vector<const conv::EngineEntry*> order;
+  const auto push = [&order](const conv::EngineEntry* entry) {
+    if (std::find(order.begin(), order.end(), entry) == order.end()) {
+      order.push_back(entry);
+    }
+  };
+  const auto push_named = [&push](std::string_view name) {
+    push(conv::find_engine(name));
+  };
+
+  // Int8 callers: the quantized engines lead the search — they are the
+  // likely winners, so measuring them first arms the prune check before
+  // the slower fp32 candidates run.
+  for (const auto& entry : conv::registry()) {
+    if (entry.dtype == Dtype::kInt8) push(&entry);
+  }
+
+  // Depthwise-degenerate shapes: the specialised engine is the likely
+  // winner (no im2col traffic, no wasted reduction), so it leads the
+  // search; the recommend model below only knows the paper's strategies.
+  if (cfg.groups == cfg.channels && cfg.groups > 1) push_named("depthwise");
+
+  // Zoo-dominant 3x3/stride-1 shapes: the scattered-GEMM Winograd
+  // engines win once the GEMMs are deep and wide enough to amortise the
+  // transforms — measured ≥2x over im2col GEMM at C,F ≥ 64 on 28²+
+  // feature maps. F(4x4,3x3) (4x multiply reduction) leads F(2x2,3x3).
+  // The size gate keeps small shapes (LeNet, fuzzer degenerates) on the
+  // unchanged prior.
+  if (cfg.kernel == 3 && cfg.stride == 1 && cfg.groups == 1 &&
+      cfg.pad <= 2 && cfg.channels >= 64 && cfg.filters >= 64 &&
+      cfg.input >= 28) {
+    push_named("winograd-f4");
+    push_named("winograd");
+  }
+
+  // The model prior: the paper's strategies sorted by the recommend
+  // model's simulated runtimes (fastest first), each standing for the
+  // engines that implement it, so on real hardware the likely winner is
+  // measured first and slow candidates hit the prune check.
+  analysis::Recommendation rec;
+  try {
+    rec = analysis::recommend(cfg);
+  } catch (const Error&) {
+    // Model failure is not fatal: fall back to the pool order.
+  }
+  std::vector<const analysis::LayerResult*> ranked;
+  for (const auto& r : rec.results) {
+    if (r.supported && !r.out_of_memory) ranked.push_back(&r);
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const auto* a, const auto* b) {
+              return a->runtime_ms < b->runtime_ms;
+            });
+  for (const auto* r : ranked) {
+    switch (frameworks::framework(r->framework).strategy()) {
+      case conv::Strategy::kUnrolling:
+        push_named("unrolling");  // then its zero-workspace variant
+        push_named("implicit-gemm");
+        break;
+      case conv::Strategy::kDirect:
+        push_named("direct");
+        break;
+      case conv::Strategy::kFft:
+        push_named("fft");
+        push_named("fft-tiled");
+        break;
+      case conv::Strategy::kWinograd:
+        push_named("winograd");
+        push_named("winograd-f4");
+        break;
+    }
+  }
+  // Engines the model cannot rank append in pool order.
+  for (const auto& entry : conv::registry()) push(&entry);
+
+  std::vector<const conv::ConvEngine*> eligible;
+  for (const conv::EngineEntry* entry : order) {
+    if (in_pool(*entry, pass, dtype) && entry->engine.supports(cfg)) {
+      eligible.push_back(&entry->engine);
+    }
+  }
+  return eligible;
+}
+
 const conv::ConvEngine& default_engine() {
-  return *candidates()[kDefaultIndex];
+  static const conv::ConvEngine& unrolling = conv::engine("unrolling");
+  return unrolling;
 }
 
 }  // namespace gpucnn::tune

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "conv/conv_engine.hpp"
+#include "conv/registry.hpp"
 #include "core/shape.hpp"
 #include "obs/json.hpp"
 
@@ -43,13 +44,13 @@ enum class Pass { kForward, kBackwardData, kBackwardFilter };
 
 enum class Mode { kOff, kHeuristic, kMeasure };
 
-/// Numeric flavour a caller wants tuned. kF32 callers see only the six
-/// exact fp32 engines (quantized engines would silently change results);
+/// Numeric flavour a caller wants tuned. kF32 callers see only the exact
+/// fp32 engines (quantized engines would silently change results);
 /// kInt8 callers — quantized conv layers, which have already accepted
 /// quantization error — additionally get the int8 engines in the
 /// forward-pass candidate pool, so a measured decision picks int8 only
 /// when it is actually faster than the best fp32 engine.
-enum class Dtype { kF32, kInt8 };
+using Dtype = conv::Dtype;
 
 [[nodiscard]] std::string_view to_string(Pass pass);
 [[nodiscard]] std::string_view to_string(Mode mode);
@@ -159,6 +160,12 @@ class Autotuner {
   bool cache_loaded_ = false;
   double ms_spent_ = 0.0;
 };
+
+/// The engines the tuner considers for (cfg, pass, dtype) — eligible
+/// ones only — in the order it searches them: the heuristic picks the
+/// front, a measurement walks the whole list.
+[[nodiscard]] std::vector<const conv::ConvEngine*> search_order(
+    const ConvConfig& cfg, Pass pass, Dtype dtype = Dtype::kF32);
 
 /// The static-default engine an untuned layer would use (im2col + GEMM),
 /// the baseline the acceptance comparisons are made against.

@@ -9,6 +9,8 @@
 
 #include <set>
 
+#include "conv/registry.hpp"
+
 namespace gpucnn::analysis {
 namespace {
 
@@ -101,6 +103,23 @@ TEST(ConvFuzz, WinogradBatchFindsNoFailures) {
                                    /*depthwise=*/false, /*winograd=*/true)
                   << " --prepack";
   }
+}
+
+TEST(ConvFuzz, DefaultBatchChecksEveryFp32RegistryEngine) {
+  // The engine check enumerates the registry, so a registered engine is
+  // cross-checked against direct without the fuzzer naming it.
+  FuzzOptions options;
+  options.seed = 1;
+  options.count = 20;
+  options.fused = false;
+  const FuzzReport report = run_fuzz(options);
+  EXPECT_TRUE(report.ok());
+  for (const auto& entry : conv::registry()) {
+    if (entry.dtype != conv::Dtype::kF32) continue;
+    EXPECT_TRUE(report.engines_checked.contains(entry.name()))
+        << entry.name() << " was never checked";
+  }
+  EXPECT_TRUE(report.engines_checked.contains("fft-complex"));
 }
 
 TEST(ConvFuzz, ConfigIsAPureFunctionOfSeedAndIndex) {

@@ -5,9 +5,12 @@
 // test_direct_conv.cpp).
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <string_view>
+#include <vector>
 
 #include "conv/conv_engine.hpp"
+#include "conv/registry.hpp"
 #include "core/rng.hpp"
 
 namespace gpucnn::conv {
@@ -41,15 +44,15 @@ TEST_P(ConvAgreement, ForwardAgreesAcrossStrategies) {
   Tensor filters(cfg.filter_shape());
   filters.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const ConvEngine& direct = conv::engine("direct");
   Tensor want(cfg.output_shape());
-  direct->forward(cfg, input, filters, want);
+  direct.forward(cfg, input, filters, want);
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
-    if (!engine->supports(cfg)) continue;
+    const ConvEngine& engine = conv::engine(to_string(s));
+    if (!engine.supports(cfg)) continue;
     Tensor got(cfg.output_shape());
-    engine->forward(cfg, input, filters, got);
+    engine.forward(cfg, input, filters, got);
     EXPECT_LT(max_abs_diff(want, got), tolerance(cfg))
         << "strategy " << to_string(s);
   }
@@ -63,15 +66,15 @@ TEST_P(ConvAgreement, BackwardDataAgreesAcrossStrategies) {
   Tensor filters(cfg.filter_shape());
   filters.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const ConvEngine& direct = conv::engine("direct");
   Tensor want(cfg.input_shape());
-  direct->backward_data(cfg, grad_output, filters, want);
+  direct.backward_data(cfg, grad_output, filters, want);
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
-    if (!engine->supports(cfg)) continue;
+    const ConvEngine& engine = conv::engine(to_string(s));
+    if (!engine.supports(cfg)) continue;
     Tensor got(cfg.input_shape());
-    engine->backward_data(cfg, grad_output, filters, got);
+    engine.backward_data(cfg, grad_output, filters, got);
     EXPECT_LT(max_abs_diff(want, got), tolerance(cfg))
         << "strategy " << to_string(s);
   }
@@ -85,9 +88,9 @@ TEST_P(ConvAgreement, BackwardFilterAgreesAcrossStrategies) {
   Tensor grad_output(cfg.output_shape());
   grad_output.fill_uniform(rng);
 
-  const auto direct = make_engine(Strategy::kDirect);
+  const ConvEngine& direct = conv::engine("direct");
   Tensor want(cfg.filter_shape());
-  direct->backward_filter(cfg, input, grad_output, want);
+  direct.backward_filter(cfg, input, grad_output, want);
 
   // The filter gradient reduces over batch * o^2 terms; loosen
   // proportionally.
@@ -97,10 +100,10 @@ TEST_P(ConvAgreement, BackwardFilterAgreesAcrossStrategies) {
                  static_cast<double>(cfg.output()));
 
   for (const Strategy s : {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
-    if (!engine->supports(cfg)) continue;
+    const ConvEngine& engine = conv::engine(to_string(s));
+    if (!engine.supports(cfg)) continue;
     Tensor got(cfg.filter_shape());
-    engine->backward_filter(cfg, input, grad_output, got);
+    engine.backward_filter(cfg, input, grad_output, got);
     EXPECT_LT(max_abs_diff(want, got), tol) << "strategy " << to_string(s);
   }
 }
@@ -142,26 +145,98 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FftConvLimits, RejectsStrideGreaterThanOne) {
   const ConvConfig cfg{.batch = 1, .input = 8, .channels = 1, .filters = 1,
                        .kernel = 3, .stride = 2};
-  const auto engine = make_engine(Strategy::kFft);
-  EXPECT_FALSE(engine->supports(cfg));
+  const ConvEngine& engine = conv::engine("fft");
+  EXPECT_FALSE(engine.supports(cfg));
   Tensor input(cfg.input_shape());
   Tensor filters(cfg.filter_shape());
   Tensor output(cfg.output_shape());
-  EXPECT_THROW(engine->forward(cfg, input, filters, output), Error);
+  EXPECT_THROW(engine.forward(cfg, input, filters, output), Error);
 }
 
 TEST(EngineFactory, ProducesAllStrategies) {
-  EXPECT_EQ(make_engine(Strategy::kDirect)->strategy(), Strategy::kDirect);
-  EXPECT_EQ(make_engine(Strategy::kUnrolling)->strategy(),
+  EXPECT_EQ(conv::engine("direct").strategy(), Strategy::kDirect);
+  EXPECT_EQ(conv::engine("unrolling").strategy(),
             Strategy::kUnrolling);
-  EXPECT_EQ(make_engine(Strategy::kFft)->strategy(), Strategy::kFft);
+  EXPECT_EQ(conv::engine("fft").strategy(), Strategy::kFft);
 }
 
 TEST(EngineFactory, NamesMatchStrategyStrings) {
+  // A strategy's static engine is the registry row named after it.
   for (const Strategy s :
        {Strategy::kDirect, Strategy::kUnrolling, Strategy::kFft,
         Strategy::kWinograd}) {
-    EXPECT_EQ(make_engine(s)->name(), to_string(s));
+    EXPECT_EQ(conv::engine(to_string(s)).name(), to_string(s));
+    EXPECT_EQ(conv::engine(to_string(s)).strategy(), s);
+    EXPECT_EQ(strategy_named(to_string(s)), s);
+  }
+  EXPECT_FALSE(strategy_named("implicit-gemm").has_value());
+  EXPECT_FALSE(strategy_named("no-such-engine").has_value());
+}
+
+TEST(EngineRegistry, PoolOrderRowsAndLookup) {
+  // The order is every tune cache's "engines" header: changing it
+  // invalidates caches written by earlier binaries.
+  const std::vector<std::string_view> pool = {
+      "direct",      "unrolling",      "implicit-gemm", "fft",
+      "fft-tiled",   "winograd",       "depthwise",     "winograd-f4",
+      "unrolling-int8", "implicit-int8"};
+  std::vector<std::string_view> names;
+  for (const EngineEntry& entry : registry()) {
+    names.push_back(entry.name());
+    EXPECT_EQ(find_engine(entry.name()), &entry);
+    const bool int8 = entry.dtype == Dtype::kInt8;
+    EXPECT_EQ(entry.backward, !int8) << entry.name();
+    EXPECT_EQ(entry.quantized != nullptr, int8) << entry.name();
+  }
+  EXPECT_EQ(names, pool);
+  EXPECT_EQ(find_engine("fft-complex"), nullptr);  // a cross-check only
+  EXPECT_THROW((void)conv::engine("no-such-engine"), Error);
+
+  EXPECT_EQ(conv::engine("unrolling").pack_kind(), PackKind::kGemm);
+  EXPECT_EQ(conv::engine("implicit-gemm").pack_kind(), PackKind::kGemm);
+  EXPECT_EQ(conv::engine("winograd").pack_kind(), PackKind::kWinogradF2);
+  EXPECT_EQ(conv::engine("winograd-f4").pack_kind(), PackKind::kWinogradF4);
+  for (const std::string_view unpacked : {"direct", "fft", "fft-tiled",
+                                          "depthwise", "unrolling-int8"}) {
+    EXPECT_EQ(conv::engine(unpacked).pack_kind(), PackKind::kNone)
+        << unpacked;
+  }
+}
+
+TEST(EngineRegistry, EpilogueMatchesSeparatePassesOnEveryFp32Engine) {
+  // One forward contract: relu(conv + bias) equals conv followed by the
+  // bias add and the clamp, bit for bit — inside the write-back for the
+  // engines that fuse it, as the base class's separate pass for the rest.
+  const ConvConfig configs[] = {
+      {.batch = 2, .input = 9, .channels = 3, .filters = 4, .kernel = 3,
+       .stride = 1, .pad = 1},
+      {.batch = 1, .input = 8, .channels = 4, .filters = 8, .kernel = 3,
+       .stride = 2, .pad = 1, .groups = 4},
+  };
+  for (const ConvConfig& cfg : configs) {
+    Rng rng(404);
+    Tensor input(cfg.input_shape());
+    input.fill_uniform(rng);
+    Tensor filters(cfg.filter_shape());
+    filters.fill_uniform(rng);
+    std::vector<float> bias(cfg.filters);
+    for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
+
+    for (const EngineEntry& entry : registry()) {
+      if (entry.dtype != Dtype::kF32 || !entry.engine.supports(cfg)) continue;
+      Tensor want(cfg.output_shape());
+      entry.engine.forward(cfg, input, filters, want);
+      const std::size_t plane = cfg.output() * cfg.output();
+      for (std::size_t i = 0; i < want.count(); ++i) {
+        float& v = want.data()[i];
+        v = std::max(0.0F, v + bias[(i / plane) % cfg.filters]);
+      }
+      Tensor got(cfg.output_shape());
+      entry.engine.forward(cfg, input, filters, got,
+                           {.bias = bias, .relu = true});
+      EXPECT_EQ(max_abs_diff(want, got), 0.0)
+          << entry.name() << " on " << cfg.to_string();
+    }
   }
 }
 

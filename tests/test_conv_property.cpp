@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/conv_engine.hpp"
+#include "conv/registry.hpp"
 #include "core/rng.hpp"
 
 namespace gpucnn::conv {
@@ -51,21 +52,21 @@ TEST_P(ConvProperty, AdjointIdentitiesHoldForAllStrategies) {
 
   for (const Strategy s : {Strategy::kDirect, Strategy::kUnrolling,
                            Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
-    if (!engine->supports(cfg)) continue;
+    const ConvEngine& engine = conv::engine(to_string(s));
+    if (!engine.supports(cfg)) continue;
 
     Tensor y(cfg.output_shape());
-    engine->forward(cfg, x, w, y);
+    engine.forward(cfg, x, w, y);
     const double forward_inner = inner(gout, y);
 
     Tensor gx(cfg.input_shape());
-    engine->backward_data(cfg, gout, w, gx);
+    engine.backward_data(cfg, gout, w, gx);
     EXPECT_NEAR(inner(gx, x), forward_inner,
                 1e-3 * (1.0 + std::abs(forward_inner)))
         << cfg << " strategy " << to_string(s);
 
     Tensor gw(cfg.filter_shape());
-    engine->backward_filter(cfg, x, gout, gw);
+    engine.backward_filter(cfg, x, gout, gw);
     EXPECT_NEAR(inner(gw, w), forward_inner,
                 1e-3 * (1.0 + std::abs(forward_inner)))
         << cfg << " strategy " << to_string(s);
@@ -75,7 +76,7 @@ TEST_P(ConvProperty, AdjointIdentitiesHoldForAllStrategies) {
 TEST_P(ConvProperty, ForwardIsLinearInInput) {
   Rng rng(GetParam() * 31 + 7);
   const ConvConfig cfg = random_config(rng, /*stride_one=*/true);
-  const auto engine = make_engine(Strategy::kUnrolling);
+  const ConvEngine& engine = conv::engine("unrolling");
 
   Tensor x1(cfg.input_shape());
   x1.fill_uniform(rng);
@@ -92,9 +93,9 @@ TEST_P(ConvProperty, ForwardIsLinearInInput) {
   Tensor y1(cfg.output_shape());
   Tensor y2(cfg.output_shape());
   Tensor yc(cfg.output_shape());
-  engine->forward(cfg, x1, w, y1);
-  engine->forward(cfg, x2, w, y2);
-  engine->forward(cfg, combined, w, yc);
+  engine.forward(cfg, x1, w, y1);
+  engine.forward(cfg, x2, w, y2);
+  engine.forward(cfg, combined, w, yc);
   double max_err = 0.0;
   for (std::size_t i = 0; i < yc.count(); ++i) {
     const double want = 2.0 * y1.data()[i] - 0.5 * y2.data()[i];
@@ -112,13 +113,13 @@ TEST_P(ConvProperty, RandomGeometriesAgreeAcrossStrategies) {
   w.fill_uniform(rng);
 
   Tensor want(cfg.output_shape());
-  make_engine(Strategy::kDirect)->forward(cfg, x, w, want);
+  conv::engine("direct").forward(cfg, x, w, want);
   for (const Strategy s :
        {Strategy::kUnrolling, Strategy::kFft, Strategy::kWinograd}) {
-    const auto engine = make_engine(s);
-    if (!engine->supports(cfg)) continue;
+    const ConvEngine& engine = conv::engine(to_string(s));
+    if (!engine.supports(cfg)) continue;
     Tensor got(cfg.output_shape());
-    engine->forward(cfg, x, w, got);
+    engine.forward(cfg, x, w, got);
     EXPECT_LT(max_abs_diff(want, got), 5e-4 * (1.0 + want.max_abs()))
         << cfg << " strategy " << to_string(s);
   }

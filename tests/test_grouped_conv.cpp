@@ -6,17 +6,11 @@
 // construction and with each other on every pass.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <vector>
-
 #include "conv/conv_engine.hpp"
-#include "conv/depthwise_conv.hpp"
 #include "conv/direct_conv.hpp"
-#include "conv/fft_conv.hpp"
-#include "conv/gemm_conv.hpp"
 #include "conv/implicit_gemm_conv.hpp"
+#include "conv/registry.hpp"
 #include "conv/tiled_fft_conv.hpp"
-#include "conv/winograd_conv.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
 
@@ -82,10 +76,10 @@ TEST_P(GroupedConv, MatchesBlockDiagonalDenseConvolution) {
   direct.forward(dense, x, w_dense, want);
 
   for (const Strategy s : {Strategy::kDirect, Strategy::kUnrolling}) {
-    const auto engine = make_engine(s);
-    ASSERT_TRUE(engine->supports(grouped));
+    const ConvEngine& engine = conv::engine(to_string(s));
+    ASSERT_TRUE(engine.supports(grouped));
     Tensor got(grouped.output_shape());
-    engine->forward(grouped, x, w, got);
+    engine.forward(grouped, x, w, got);
     EXPECT_LT(max_abs_diff(want, got), 1e-4) << to_string(s);
   }
 }
@@ -101,18 +95,18 @@ TEST_P(GroupedConv, BackwardPassesAgreeAcrossEngines) {
   gout.fill_uniform(rng);
 
   DirectConv direct;
-  const auto gemm = make_engine(Strategy::kUnrolling);
+  const ConvEngine& gemm = conv::engine("unrolling");
 
   Tensor want_gx(cfg.input_shape());
   Tensor got_gx(cfg.input_shape());
   direct.backward_data(cfg, gout, w, want_gx);
-  gemm->backward_data(cfg, gout, w, got_gx);
+  gemm.backward_data(cfg, gout, w, got_gx);
   EXPECT_LT(max_abs_diff(want_gx, got_gx), 1e-4);
 
   Tensor want_gw(cfg.filter_shape());
   Tensor got_gw(cfg.filter_shape());
   direct.backward_filter(cfg, x, gout, want_gw);
-  gemm->backward_filter(cfg, x, gout, got_gw);
+  gemm.backward_filter(cfg, x, gout, got_gw);
   EXPECT_LT(max_abs_diff(want_gw, got_gw), 1e-3);
 }
 
@@ -162,25 +156,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GroupedConvLimits, FftWinogradImplicitRejectGroups) {
   const ConvConfig cfg{.batch = 1, .input = 8, .channels = 4, .filters = 4,
                        .kernel = 3, .stride = 1, .groups = 2};
-  EXPECT_FALSE(make_engine(Strategy::kFft)->supports(cfg));
-  EXPECT_FALSE(make_engine(Strategy::kWinograd)->supports(cfg));
+  EXPECT_FALSE(conv::engine("fft").supports(cfg));
+  EXPECT_FALSE(conv::engine("winograd").supports(cfg));
   EXPECT_FALSE(ImplicitGemmConv().supports(cfg));
   EXPECT_FALSE(TiledFftConv().supports(cfg));
-  EXPECT_TRUE(make_engine(Strategy::kDirect)->supports(cfg));
-  EXPECT_TRUE(make_engine(Strategy::kUnrolling)->supports(cfg));
-}
-
-// The autotuner's full fp32 pool.
-std::vector<std::unique_ptr<ConvEngine>> full_engine_pool() {
-  std::vector<std::unique_ptr<ConvEngine>> pool;
-  pool.push_back(std::make_unique<DirectConv>());
-  pool.push_back(std::make_unique<GemmConv>());
-  pool.push_back(std::make_unique<ImplicitGemmConv>());
-  pool.push_back(std::make_unique<FftConv>());
-  pool.push_back(std::make_unique<TiledFftConv>());
-  pool.push_back(std::make_unique<WinogradConv>());
-  pool.push_back(std::make_unique<DepthwiseConv>());
-  return pool;
+  EXPECT_TRUE(conv::engine("direct").supports(cfg));
+  EXPECT_TRUE(conv::engine("unrolling").supports(cfg));
 }
 
 // The contract the autotuner and advisor rely on: on a grouped config,
@@ -214,16 +195,18 @@ TEST(GroupedConvLimits, EveryEngineMatchesDirectOrDeclines) {
     direct.backward_data(cfg, gout, w, want_gx);
     direct.backward_filter(cfg, x, gout, want_gw);
 
-    for (const auto& engine : full_engine_pool()) {
-      if (!engine->supports(cfg)) continue;  // declining is the other
+    for (const EngineEntry& entry : registry()) {  // the fp32 tuner pool
+      const ConvEngine& engine = entry.engine;
+      if (entry.dtype != Dtype::kF32) continue;
+      if (!engine.supports(cfg)) continue;  // declining is the other
                                              // half of the contract
-      SCOPED_TRACE(std::string(engine->name()) + " on " + cfg.to_string());
+      SCOPED_TRACE(std::string(engine.name()) + " on " + cfg.to_string());
       Tensor y(cfg.output_shape());
       Tensor gx(cfg.input_shape());
       Tensor gw(cfg.filter_shape());
-      ASSERT_NO_THROW(engine->forward(cfg, x, w, y));
-      ASSERT_NO_THROW(engine->backward_data(cfg, gout, w, gx));
-      ASSERT_NO_THROW(engine->backward_filter(cfg, x, gout, gw));
+      ASSERT_NO_THROW(engine.forward(cfg, x, w, y));
+      ASSERT_NO_THROW(engine.backward_data(cfg, gout, w, gx));
+      ASSERT_NO_THROW(engine.backward_filter(cfg, x, gout, gw));
       EXPECT_LT(max_abs_diff(want_y, y), 1e-4);
       EXPECT_LT(max_abs_diff(want_gx, gx), 1e-4);
       EXPECT_LT(max_abs_diff(want_gw, gw), 1e-3);

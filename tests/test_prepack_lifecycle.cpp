@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/conv_engine.hpp"
+#include "conv/winograd_conv.hpp"
 #include "nn/activation_layer.hpp"
 #include "nn/conv_layer.hpp"
 #include "nn/fc_layer.hpp"
@@ -190,18 +191,19 @@ TEST(PrepackLifecycle, FreezeBuildsOnlyTheForwardEnginesPanels) {
   gemm.set_training(false);
   gemm.freeze_for_inference();
   ASSERT_NE(gemm.prepacked(), nullptr);
-  EXPECT_EQ(gemm.prepacked()->groups.size(), 1U);
-  EXPECT_TRUE(gemm.prepacked()->winograd_f2.empty());
-  EXPECT_TRUE(gemm.prepacked()->winograd_f4.empty());
+  EXPECT_EQ(gemm.prepacked()->panels.size(), 1U);
+  EXPECT_EQ(gemm.prepacked()->kind, conv::PackKind::kGemm);
+  EXPECT_TRUE(gemm.prepacked()->data.empty());
 
   ConvLayer winograd("winograd", geometry, conv::Strategy::kWinograd);
   winograd.initialize(rng);
   winograd.set_training(false);
   winograd.freeze_for_inference();
   ASSERT_NE(winograd.prepacked(), nullptr);
-  EXPECT_TRUE(winograd.prepacked()->groups.empty());
-  EXPECT_FALSE(winograd.prepacked()->winograd_f2.empty());
-  EXPECT_TRUE(winograd.prepacked()->winograd_f4.empty());
+  EXPECT_EQ(winograd.prepacked()->kind, conv::PackKind::kWinogradF2);
+  EXPECT_FALSE(winograd.prepacked()->panels.empty());
+  EXPECT_EQ(winograd.prepacked()->panels.size(),
+            conv::winograd_positions(conv::WinogradTile::kF2));
 
   ConvLayer direct("direct", geometry, conv::Strategy::kDirect);
   direct.initialize(rng);

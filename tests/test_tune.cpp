@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "conv/conv_engine.hpp"
 #include "core/cpu_features.hpp"
@@ -284,6 +286,72 @@ TEST_F(TunerFixture, PreInt8CacheIsRejectedWholesale) {
   }
   tuner_->clear();
   EXPECT_EQ(tuner_->load_cache(path), 0U);
+}
+
+TEST_F(TunerFixture, SearchOrderMatchesParent) {
+  // Eligible engines in search order, recorded before the engine table
+  // was centralised: the order decides the heuristic pick and the
+  // measured sweep's pruning, so it must not move. Covers both sides of
+  // the Winograd leader gate (C = 63, input 27), the depthwise and int8
+  // leaders, 1x1 and strided shapes, and all three passes.
+  struct Case {
+    ConvConfig cfg;
+    Pass pass;
+    Dtype dtype;
+    std::vector<std::string_view> order;
+  };
+  const ConvConfig lenet_conv2{32, 14, 6, 16, 5, 1, 0, 1};
+  const ConvConfig inception_3x3{1, 28, 96, 128, 3, 1, 1, 1};
+  ConvConfig thin_3x3 = inception_3x3;
+  thin_3x3.channels = 63;
+  ConvConfig small_3x3 = inception_3x3;
+  small_3x3.input = 27;
+  const ConvConfig depthwise{1, 56, 128, 128, 3, 1, 1, 128};
+  const ConvConfig pointwise{1, 28, 192, 64, 1, 1, 0, 1};
+  const ConvConfig conv1_7x7{1, 224, 3, 64, 7, 2, 3, 1};
+  const ConvConfig lenet_conv1{1, 32, 1, 6, 5, 1, 0, 1};
+  const std::vector<std::string_view> fft_prior = {
+      "unrolling", "implicit-gemm", "fft", "fft-tiled", "direct"};
+  const Case cases[] = {
+      {lenet_conv2, Pass::kForward, Dtype::kF32,
+       {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled"}},
+      {lenet_conv2, Pass::kBackwardData, Dtype::kF32,
+       {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled"}},
+      {inception_3x3, Pass::kForward, Dtype::kF32,
+       {"winograd-f4", "winograd", "unrolling", "implicit-gemm", "fft",
+        "fft-tiled", "direct"}},
+      {inception_3x3, Pass::kBackwardFilter, Dtype::kF32,
+       {"winograd-f4", "winograd", "unrolling", "implicit-gemm", "fft",
+        "fft-tiled", "direct"}},
+      {thin_3x3, Pass::kForward, Dtype::kF32,
+       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
+        "winograd", "winograd-f4"}},
+      {small_3x3, Pass::kForward, Dtype::kF32,
+       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
+        "winograd", "winograd-f4"}},
+      {depthwise, Pass::kForward, Dtype::kF32,
+       {"depthwise", "unrolling", "direct"}},
+      {pointwise, Pass::kBackwardData, Dtype::kF32, fft_prior},
+      {conv1_7x7, Pass::kForward, Dtype::kF32,
+       {"unrolling", "implicit-gemm", "direct"}},
+      {conv1_7x7, Pass::kBackwardFilter, Dtype::kF32,
+       {"unrolling", "implicit-gemm", "direct"}},
+      {lenet_conv1, Pass::kForward, Dtype::kInt8,
+       {"unrolling-int8", "implicit-int8", "unrolling", "implicit-gemm",
+        "fft", "fft-tiled", "direct", "depthwise"}},
+      {lenet_conv1, Pass::kBackwardData, Dtype::kInt8,
+       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
+        "depthwise"}},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string_view> got;
+    for (const auto* engine : search_order(c.cfg, c.pass, c.dtype)) {
+      got.push_back(engine->name());
+    }
+    EXPECT_EQ(got, c.order) << c.cfg.to_string() << " groups="
+                            << c.cfg.groups << ' ' << to_string(c.pass)
+                            << ' ' << to_string(c.dtype);
+  }
 }
 
 TEST_F(TunerFixture, DefaultEngineIsTheStaticUnrollingStrategy) {

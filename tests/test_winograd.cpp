@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "conv/direct_conv.hpp"
+#include "conv/registry.hpp"
 #include "core/rng.hpp"
 
 namespace gpucnn::conv {
@@ -113,9 +114,9 @@ TEST(WinogradLimits, ForwardThrowsOnUnsupported) {
 }
 
 TEST(WinogradFactory, AvailableThroughMakeEngine) {
-  const auto engine = make_engine(Strategy::kWinograd);
-  EXPECT_EQ(engine->strategy(), Strategy::kWinograd);
-  EXPECT_EQ(engine->name(), "winograd");
+  const ConvEngine& engine = conv::engine("winograd");
+  EXPECT_EQ(engine.strategy(), Strategy::kWinograd);
+  EXPECT_EQ(engine.name(), "winograd");
   EXPECT_EQ(to_string(Strategy::kWinograd), "winograd");
 }
 

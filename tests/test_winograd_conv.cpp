@@ -156,7 +156,8 @@ TEST(WinogradFused, BiasReluMatchesUnfusedBitForBit) {
       }
     }
     Tensor fused(cfg.output_shape());
-    ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, /*relu=*/true, fused))
+    ASSERT_NO_THROW(
+        engine.forward(cfg, in, w, fused, {.bias = bias, .relu = true}))
         << label_of(tile);
     EXPECT_EQ(max_abs_diff(unfused, fused), 0.0) << label_of(tile);
   }
@@ -171,17 +172,19 @@ TEST(WinogradPrepack, PackBuildsOnePanelPerTilePosition) {
   Tensor w(cfg.filter_shape());
   w.fill_uniform(rng);
 
-  const PackedFilters packed = prepack_filters(cfg, w);
-  EXPECT_EQ(packed.winograd_f2.size(), winograd_positions(WinogradTile::kF2));
-  EXPECT_EQ(packed.winograd_f4.size(), winograd_positions(WinogradTile::kF4));
-  EXPECT_EQ(packed.winograd_f2_data.size(),
-            16 * cfg.filters * cfg.channels);
-  EXPECT_EQ(packed.winograd_f4_data.size(),
-            36 * cfg.filters * cfg.channels);
-  // The pack accounts for the panels it owns.
-  std::size_t gemm_only = 0;
-  for (const auto& g : packed.groups) gemm_only += g.bytes();
-  EXPECT_GT(packed.bytes(), gemm_only);
+  const PackedFilters f2 =
+      prepack_filters(cfg, w, WinogradConv(WinogradTile::kF2));
+  const PackedFilters f4 =
+      prepack_filters(cfg, w, WinogradConv(WinogradTile::kF4));
+  EXPECT_EQ(f2.panels.size(), winograd_positions(WinogradTile::kF2));
+  EXPECT_EQ(f4.panels.size(), winograd_positions(WinogradTile::kF4));
+  EXPECT_EQ(f2.data.size(), 16 * cfg.filters * cfg.channels);
+  EXPECT_EQ(f4.data.size(), 36 * cfg.filters * cfg.channels);
+  // The pack accounts for the transformed filters it owns, not just the
+  // panels.
+  std::size_t panels_only = 0;
+  for (const auto& panel : f2.panels) panels_only += panel.bytes();
+  EXPECT_GT(f2.bytes(), panels_only);
 }
 
 TEST(WinogradPrepack, IneligibleConfigsGetNoWinogradSections) {
@@ -190,11 +193,11 @@ TEST(WinogradPrepack, IneligibleConfigsGetNoWinogradSections) {
   Rng rng(35);
   Tensor w(cfg.filter_shape());
   w.fill_uniform(rng);
-  const PackedFilters packed = prepack_filters(cfg, w);
-  EXPECT_TRUE(packed.winograd_f2.empty());
-  EXPECT_TRUE(packed.winograd_f4.empty());
-  EXPECT_TRUE(packed.winograd_f2_data.empty());
-  EXPECT_TRUE(packed.winograd_f4_data.empty());
+  for (const WinogradTile tile : kTiles) {
+    const PackedFilters packed = prepack_filters(cfg, w, WinogradConv(tile));
+    EXPECT_TRUE(packed.panels.empty()) << label_of(tile);
+    EXPECT_TRUE(packed.data.empty()) << label_of(tile);
+  }
 }
 
 TEST(WinogradPrepack, PrepackedForwardIsBitIdenticalToStaged) {
@@ -207,17 +210,17 @@ TEST(WinogradPrepack, PrepackedForwardIsBitIdenticalToStaged) {
   w.fill_uniform(rng);
   std::vector<float> bias(cfg.filters);
   for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-  const PackedFilters packed = prepack_filters(cfg, w);
 
   for (const WinogradTile tile : kTiles) {
     const WinogradConv engine(tile);
+    const PackedFilters packed = prepack_filters(cfg, w, engine);
     for (const bool relu : {false, true}) {
+      const Epilogue epilogue{.bias = bias, .relu = relu};
       Tensor staged(cfg.output_shape());
-      ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, relu, staged));
+      ASSERT_NO_THROW(engine.forward(cfg, in, w, staged, epilogue));
       Tensor prepacked(cfg.output_shape());
-      ASSERT_TRUE(engine.forward_prepacked(cfg, in, packed, w, bias, relu,
-                                           prepacked))
-          << label_of(tile);
+      ASSERT_TRUE(packed.serves(engine, w)) << label_of(tile);
+      engine.forward(cfg, in, {w, &packed}, prepacked, epilogue);
       EXPECT_EQ(max_abs_diff(staged, prepacked), 0.0)
           << label_of(tile) << " relu=" << relu;
     }
@@ -237,10 +240,15 @@ TEST(WinogradPrepack, PackWithoutPanelsFallsBackAndCounts) {
   const auto& fallbacks =
       obs::metrics().counter("conv.winograd.fallbacks");
   const std::int64_t before = fallbacks.value();
-  const PackedFilters empty_pack;  // no winograd sections at all
-  EXPECT_FALSE(WinogradConv{}.forward_prepacked(cfg, in, empty_pack, w, {},
-                                                false, out));
+  const PackedFilters empty_pack;  // no winograd panels at all
+  const WinogradConv engine;
+  EXPECT_FALSE(empty_pack.serves(engine, w));
+  engine.forward(cfg, in, {w, &empty_pack}, out);
   EXPECT_EQ(fallbacks.value(), before + 1);
+  // The ignored pack leaves the staged result.
+  Tensor staged(cfg.output_shape());
+  engine.forward(cfg, in, w, staged);
+  EXPECT_EQ(max_abs_diff(staged, out), 0.0);
 }
 
 TEST(WinogradPrepack, ConsumerPackHoldsOnlyThatEnginesPanels) {
@@ -253,28 +261,28 @@ TEST(WinogradPrepack, ConsumerPackHoldsOnlyThatEnginesPanels) {
   const WinogradConv f2(WinogradTile::kF2);
   const WinogradConv f4(WinogradTile::kF4);
   const GemmConv gemm;
-  const PackedFilters for_f2 = prepack_filters(cfg, w, &f2);
-  EXPECT_TRUE(for_f2.groups.empty());
-  EXPECT_EQ(for_f2.winograd_f2.size(), winograd_positions(WinogradTile::kF2));
-  EXPECT_TRUE(for_f2.winograd_f4.empty());
+  const PackedFilters for_f2 = prepack_filters(cfg, w, f2);
+  EXPECT_EQ(for_f2.kind, PackKind::kWinogradF2);
+  EXPECT_EQ(for_f2.panels.size(), winograd_positions(WinogradTile::kF2));
+  EXPECT_EQ(for_f2.data.size(), 16 * cfg.filters * cfg.channels);
   EXPECT_TRUE(for_f2.serves(f2, w));
   EXPECT_FALSE(for_f2.serves(f4, w));
   EXPECT_FALSE(for_f2.serves(gemm, w));
 
-  const PackedFilters for_f4 = prepack_filters(cfg, w, &f4);
-  EXPECT_TRUE(for_f4.groups.empty());
-  EXPECT_TRUE(for_f4.winograd_f2.empty());
+  const PackedFilters for_f4 = prepack_filters(cfg, w, f4);
+  EXPECT_EQ(for_f4.kind, PackKind::kWinogradF4);
+  EXPECT_EQ(for_f4.panels.size(), winograd_positions(WinogradTile::kF4));
   EXPECT_TRUE(for_f4.serves(f4, w));
 
-  const PackedFilters for_gemm = prepack_filters(cfg, w, &gemm);
-  EXPECT_EQ(for_gemm.groups.size(), 1U);
-  EXPECT_TRUE(for_gemm.winograd_f2.empty());
-  EXPECT_TRUE(for_gemm.winograd_f4.empty());
+  const PackedFilters for_gemm = prepack_filters(cfg, w, gemm);
+  EXPECT_EQ(for_gemm.panels.size(), 1U);
+  EXPECT_EQ(for_gemm.kind, PackKind::kGemm);
+  EXPECT_TRUE(for_gemm.data.empty());
   EXPECT_TRUE(for_gemm.serves(gemm, w));
   EXPECT_FALSE(for_gemm.serves(f2, w));
 
   const DirectConv direct;
-  const PackedFilters none = prepack_filters(cfg, w, &direct);
+  const PackedFilters none = prepack_filters(cfg, w, direct);
   EXPECT_EQ(none.bytes(), 0U);
 
   // A pack serves only the tensor it was built from.
@@ -302,7 +310,6 @@ TEST(WinogradPool, AllThreePassesMatchSingleThreadBitForBit) {
   gout.fill_uniform(rng);
   std::vector<float> bias(cfg.filters);
   for (auto& b : bias) b = static_cast<float>(rng.uniform(-0.5, 0.5));
-  const PackedFilters packed = prepack_filters(cfg, w);
   const auto single_thread = [](auto&& call) {
     global_pool().parallel_for_chunks(
         0, 1, [&](std::size_t, std::size_t) { call(); });
@@ -310,15 +317,17 @@ TEST(WinogradPool, AllThreePassesMatchSingleThreadBitForBit) {
 
   for (const WinogradTile tile : kTiles) {
     const WinogradConv engine(tile);
+    const PackedFilters packed = prepack_filters(cfg, w, engine);
+    const Epilogue epilogue{.bias = bias, .relu = true};
     Tensor pooled(cfg.output_shape());
     Tensor inline_out(cfg.output_shape());
-    ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, true, pooled));
+    ASSERT_NO_THROW(engine.forward(cfg, in, w, pooled, epilogue));
     single_thread([&] {
-      ASSERT_TRUE(engine.forward_fused(cfg, in, w, bias, true, inline_out));
+      ASSERT_NO_THROW(engine.forward(cfg, in, w, inline_out, epilogue));
     });
     EXPECT_EQ(max_abs_diff(pooled, inline_out), 0.0) << label_of(tile);
-    ASSERT_TRUE(engine.forward_prepacked(cfg, in, packed, w, bias, true,
-                                         pooled));
+    ASSERT_TRUE(packed.serves(engine, w)) << label_of(tile);
+    engine.forward(cfg, in, {w, &packed}, pooled, epilogue);
     EXPECT_EQ(max_abs_diff(pooled, inline_out), 0.0) << label_of(tile);
 
     Tensor gin(cfg.input_shape());

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "analysis/report.hpp"
+#include "conv/registry.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "nn/activation_layer.hpp"
@@ -102,6 +103,19 @@ bool parse_value(std::string_view text, T& out) {
   return ec == std::errc{} && ptr == text.data() + text.size();
 }
 
+/// True when `name` names a strategy (conv/registry.hpp) whose engine
+/// runs every conv of LeNet-5, the model --strategy applies to.
+bool runs_lenet(std::string_view name) {
+  if (!conv::strategy_named(name)) return false;
+  for (const auto& layer : nn::lenet5(1).layers) {
+    if (layer.kind == nn::LayerSpec::Kind::kConv &&
+        !conv::engine(name).supports(layer.conv)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool parse_args(int argc, char** argv, LoadgenOptions& opt) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
@@ -116,8 +130,7 @@ bool parse_args(int argc, char** argv, LoadgenOptions& opt) {
       ok = opt.model == "lenet5" || opt.model == "tiny";
     } else if (key == "--strategy") {
       opt.strategy = std::string(value);
-      ok = opt.strategy == "fft" || opt.strategy == "unrolling" ||
-           opt.strategy == "direct";
+      ok = runs_lenet(value);
     } else if (key == "--workers") {
       ok = parse_value(value, opt.workers) && opt.workers >= 1;
     } else if (key == "--max-batch") {
@@ -179,9 +192,7 @@ ServedModel select_model(const std::string& name,
   if (name == "tiny") {
     return {[] { return tiny_network(); }, TensorShape{1, 1, 4, 4}};
   }
-  conv::Strategy engine = conv::Strategy::kFft;
-  if (strategy == "unrolling") engine = conv::Strategy::kUnrolling;
-  if (strategy == "direct") engine = conv::Strategy::kDirect;
+  const conv::Strategy engine = *conv::strategy_named(strategy);
   const auto spec = nn::lenet5(1);
   const TensorShape in = spec.layers.front().input;
   return {[spec, engine] { return spec.instantiate(engine); },

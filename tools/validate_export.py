@@ -36,9 +36,6 @@ TUNE_ENTRY_FIELDS = {"batch", "input", "channels", "filters", "kernel",
                      "engine", "best_ms", "baseline_ms"}
 TUNE_PASSES = {"forward", "backward-data", "backward-filter"}
 TUNE_DTYPES = {"fp32", "int8"}
-TUNE_ENGINES = {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled",
-                "winograd", "winograd-f4", "depthwise", "unrolling-int8",
-                "implicit-int8"}
 
 
 class Failure(Exception):
@@ -285,12 +282,17 @@ def validate_tune_cache(path):
     threads = doc.get("threads")
     check(isinstance(threads, (int, float)) and threads >= 1,
           f"bad 'threads': {threads!r}")
-    # v2: the header advertises the writer's engine set; a reader whose
-    # set differs rejects the whole cache rather than misread decisions.
+    # v2: the header advertises the writer's engine set (its registry, in
+    # pool order); a reader whose set differs rejects the whole cache
+    # rather than misread decisions. Entries are checked against it.
     engines = doc.get("engines")
     check(isinstance(engines, str) and engines,
           "missing/empty 'engines'")
-    advertised = set(engines.split(","))
+    names = engines.split(",")
+    check(all(names), f"empty engine name in 'engines': {engines!r}")
+    check(len(set(names)) == len(names),
+          f"duplicate engine name in 'engines': {engines!r}")
+    advertised = set(names)
     entries = doc.get("entries")
     check(isinstance(entries, list), "'entries' is not a list")
     for i, entry in enumerate(entries):
@@ -301,8 +303,6 @@ def validate_tune_cache(path):
               f"entry {i}: unknown pass {entry['pass']!r}")
         check(entry["dtype"] in TUNE_DTYPES,
               f"entry {i}: unknown dtype {entry['dtype']!r}")
-        check(entry["engine"] in TUNE_ENGINES,
-              f"entry {i}: unknown engine {entry['engine']!r}")
         check(entry["engine"] in advertised,
               f"entry {i}: engine {entry['engine']!r} not in the"
               " advertised 'engines' set")
