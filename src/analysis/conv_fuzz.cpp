@@ -9,6 +9,7 @@
 
 #include "analysis/conv_runner.hpp"
 #include "conv/fft_conv.hpp"
+#include "conv/quantized_conv.hpp"
 #include "conv/registry.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -453,35 +454,31 @@ void check_int8(const ConvConfig& cfg, std::uint64_t seed,
   const quant::ActQuant aq =
       quant::choose_act_quant(-act_absmax, act_absmax);
 
-  for (const auto& entry : conv::registry()) {
-    if (entry.dtype != conv::Dtype::kInt8 || !entry.engine.supports(cfg)) {
+  for (const bool relu : {false, true}) {
+    const std::string label =
+        relu ? "unrolling-int8 fused" : "unrolling-int8 plain";
+    const Tensor& reference = relu ? ref_fused : ref_plain;
+    const std::span<const float> b =
+        relu ? std::span<const float>(bias) : std::span<const float>();
+    Tensor got(cfg.output_shape());
+    try {
+      conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, relu,
+                                   got);
+    } catch (const std::exception& e) {
+      fail(label + " threw: " + e.what());
       continue;
     }
-    for (const bool relu : {false, true}) {
-      const std::string label =
-          std::string(entry.name()) + (relu ? " fused" : " plain");
-      const Tensor& reference = relu ? ref_fused : ref_plain;
-      const std::span<const float> b =
-          relu ? std::span<const float>(bias) : std::span<const float>();
-      Tensor got(cfg.output_shape());
-      try {
-        entry.quantized(cfg, input, qw, nullptr, aq, b, relu, got);
-      } catch (const std::exception& e) {
-        fail(label + " threw: " + e.what());
-        continue;
-      }
-      ++report.int8_checks;
-      if (!finite(got)) {
-        fail(label + " produced non-finite values");
-        continue;
-      }
-      const double diff = max_abs_diff(reference, got);
-      if (!(diff < tolerance)) {
-        std::ostringstream os;
-        os << label << " disagrees with fp32: max|diff| = " << diff
-           << " (quantization tolerance " << tolerance << ')';
-        fail(os.str());
-      }
+    ++report.int8_checks;
+    if (!finite(got)) {
+      fail(label + " produced non-finite values");
+      continue;
+    }
+    const double diff = max_abs_diff(reference, got);
+    if (!(diff < tolerance)) {
+      std::ostringstream os;
+      os << label << " disagrees with fp32: max|diff| = " << diff
+         << " (quantization tolerance " << tolerance << ')';
+      fail(os.str());
     }
   }
 }
@@ -565,22 +562,19 @@ void check_prepack(const ConvConfig& cfg, std::uint64_t seed,
       quant::choose_act_quant(-act_absmax, act_absmax);
   const conv::PackedQFilters qpacked =
       conv::prepack_quantized_filters(cfg, qw);
-  for (const auto& entry : conv::registry()) {
-    if (entry.dtype != conv::Dtype::kInt8 || !entry.engine.supports(cfg)) {
-      continue;
-    }
-    for (const bool relu : {false, true}) {
-      const std::span<const float> b =
-          relu ? std::span<const float>(bias) : std::span<const float>();
-      compare(
-          std::string(entry.name()) + (relu ? " fused" : " plain"),
-          [&](Tensor& out) {
-            entry.quantized(cfg, input, qw, nullptr, aq, b, relu, out);
-          },
-          [&](Tensor& out) {
-            entry.quantized(cfg, input, qw, &qpacked, aq, b, relu, out);
-          });
-    }
+  for (const bool relu : {false, true}) {
+    const std::span<const float> b =
+        relu ? std::span<const float>(bias) : std::span<const float>();
+    compare(
+        relu ? "unrolling-int8 fused" : "unrolling-int8 plain",
+        [&](Tensor& out) {
+          conv::quantized_gemm_forward(cfg, input, qw, nullptr, aq, b, relu,
+                                       out);
+        },
+        [&](Tensor& out) {
+          conv::quantized_gemm_forward(cfg, input, qw, &qpacked, aq, b,
+                                       relu, out);
+        });
   }
 }
 

@@ -100,21 +100,21 @@ void check_config(const ConvConfig& cfg, std::uint64_t seed,
 void check_fused(const ConvConfig& cfg, std::uint64_t seed,
                  std::size_t index, FuzzReport& report);
 
-/// Cross-checks the int8 registry engines' quantized forwards
-/// (im2col+int8-GEMM and, when groups == 1, tiled implicit) with
-/// offline-quantized weights against the fp32 im2col+GEMM
-/// reference — plain and fused bias+ReLU — under a quantization-aware
-/// tolerance: K * (|a|max * dw/2 + |w|max * da/2 + da * dw/4), the
-/// worst-case dequantized rounding error of a K-term dot product with
-/// activation step da and weight step dw. A zero-point-correction or
-/// saturation bug exceeds that bound by orders of magnitude.
+/// Cross-checks the int8 registry engine's quantized forward
+/// (im2col+int8-GEMM) with offline-quantized weights against the fp32
+/// im2col+GEMM reference — plain and fused bias+ReLU — under a
+/// quantization-aware tolerance: K * (|a|max * dw/2 + |w|max * da/2 +
+/// da * dw/4), the worst-case dequantized rounding error of a K-term dot
+/// product with activation step da and weight step dw. A
+/// zero-point-correction or saturation bug exceeds that bound by orders
+/// of magnitude.
 void check_int8(const ConvConfig& cfg, std::uint64_t seed,
                 std::size_t index, FuzzReport& report);
 
 /// Cross-checks the prepacked forwards against their staged twins with
 /// identical inputs, weights, and fused bias+ReLU epilogues: every fp32
 /// registry engine with a pack kind that supports the config, plus the
-/// int8 engines' quantized paths. Pack-once/execute-many reuses the
+/// int8 engine's quantized path. Pack-once/execute-many reuses the
 /// exact panel bytes (or, for Winograd, the identical filter transform)
 /// the staged path computes per call, so every comparison demands
 /// bit-identity — any difference is a packing-layout or offset bug, not

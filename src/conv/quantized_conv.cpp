@@ -7,14 +7,10 @@
 #include "blas/igemm.hpp"
 #include "blas/packed.hpp"
 #include "core/error.hpp"
-#include "core/thread_pool.hpp"
 #include "core/workspace.hpp"
 
 namespace gpucnn::conv {
 namespace {
-
-// Tile width of the implicit path, matching the fp32 engine.
-constexpr std::size_t kTile = 64;
 
 // One group's geometry as a standalone ungrouped configuration.
 ConvConfig group_view(const ConvConfig& cfg) {
@@ -89,35 +85,6 @@ void im2col_u8(const ConvConfig& gv, const std::uint8_t* input,
   }
 }
 
-// uint8 twin of the fp32 implicit engine's gather_tile.
-void gather_tile_u8(const ConvConfig& cfg, const std::uint8_t* image,
-                    std::uint8_t pad_value, std::size_t col0,
-                    std::size_t cols, std::uint8_t* tile) {
-  const std::size_t o = cfg.output();
-  const std::size_t in = cfg.input;
-  const std::size_t k = cfg.kernel;
-  const std::size_t s = cfg.stride;
-  const std::size_t p = cfg.pad;
-  for (std::size_t c = 0; c < cfg.channels; ++c) {
-    const std::uint8_t* plane = image + c * in * in;
-    for (std::size_t ky = 0; ky < k; ++ky) {
-      for (std::size_t kx = 0; kx < k; ++kx) {
-        std::uint8_t* row = tile + ((c * k + ky) * k + kx) * cols;
-        for (std::size_t j = 0; j < cols; ++j) {
-          const std::size_t pos = col0 + j;
-          const std::size_t y = pos / o;
-          const std::size_t x = pos % o;
-          const std::size_t iy = y * s + ky;
-          const std::size_t ix = x * s + kx;
-          row[j] = (iy >= p && iy < in + p && ix >= p && ix < in + p)
-                       ? plane[(iy - p) * in + (ix - p)]
-                       : pad_value;
-        }
-      }
-    }
-  }
-}
-
 // Per-row epilogue arrays: combined dequant scale s_a * s_w[f] and the
 // activation-zero-point correction zp * sum(w_q[f]).
 void fill_epilogue_arrays(const quant::QuantizedFilters& qw,
@@ -127,29 +94,6 @@ void fill_epilogue_arrays(const quant::QuantizedFilters& qw,
     scales[r] = aq.scale * qw.scales[r];
     offsets[r] = aq.zero_point * qw.row_sums[r];
   }
-}
-
-// Dynamic-quantization front end shared by both engine adapters:
-// activations quantized per-tensor from this batch's own range, weights
-// per-channel from the filter tensor.
-void dynamic_forward(const ConvConfig& cfg, const Tensor& input,
-                     const Tensor& filters, std::span<const float> bias,
-                     bool relu, Tensor& output, bool implicit) {
-  const std::span<const float> in = input.data();
-  check(!in.empty(), "quantized forward needs a non-empty input");
-  float lo = in[0];
-  float hi = in[0];
-  for (const float v : in) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  const quant::ActQuant aq = quant::choose_act_quant(lo, hi);
-  const std::size_t ckk =
-      cfg.group_channels() * cfg.kernel * cfg.kernel;
-  const quant::QuantizedFilters qw =
-      quant::quantize_filters(filters.data(), cfg.filters, ckk);
-  (implicit ? quantized_implicit_forward : quantized_gemm_forward)(
-      cfg, input, qw, nullptr, aq, bias, relu, output);
 }
 
 }  // namespace
@@ -205,63 +149,6 @@ void quantized_gemm_forward(const ConvConfig& cfg, const Tensor& input,
   }
 }
 
-void quantized_implicit_forward(const ConvConfig& cfg, const Tensor& input,
-                                const quant::QuantizedFilters& qw,
-                                const PackedQFilters* packed,
-                                const quant::ActQuant& aq,
-                                std::span<const float> bias, bool relu,
-                                Tensor& output) {
-  validate_quantized_forward(cfg, input, qw, aq, bias, output);
-  check(cfg.groups == 1,
-        "quantized implicit GEMM does not support grouped filters");
-  check(packed == nullptr || packed->groups.size() == 1,
-        "packed filter group count mismatch");
-  const std::size_t o = cfg.output();
-  const std::size_t ckk = cfg.channels * cfg.kernel * cfg.kernel;
-  const std::size_t positions = o * o;
-
-  ws::Scratch<std::uint8_t> qin(input.count());
-  quant::quantize_acts(input.data(), aq, qin.span());
-  const auto pad_byte = static_cast<std::uint8_t>(aq.zero_point);
-
-  ws::Scratch<float> scales(cfg.filters);
-  ws::Scratch<std::int32_t> offsets(cfg.filters);
-  fill_epilogue_arrays(qw, aq, scales.data(), offsets.data());
-  blas::QEpilogue ep;
-  ep.scales = scales.data();
-  ep.row_offsets = offsets.data();
-  ep.bias = bias.empty() ? nullptr : bias.data();
-  ep.relu = relu;
-
-  const std::size_t image_elems = cfg.channels * cfg.input * cfg.input;
-  parallel_for(0, cfg.batch, [&](std::size_t n) {
-    ws::Scratch<std::uint8_t> tile(ckk * kTile);
-    ws::Scratch<float> out_tile(cfg.filters * kTile);
-    const std::uint8_t* image = qin.data() + n * image_elems;
-    float* out_image = output.plane(n, 0);
-    for (std::size_t col0 = 0; col0 < positions; col0 += kTile) {
-      const std::size_t cols = std::min(kTile, positions - col0);
-      gather_tile_u8(cfg, image, pad_byte, col0, cols, tile.data());
-      if (packed != nullptr) {
-        blas::igemm_prepacked(cfg.filters, cols, ckk, packed->groups[0],
-                              {tile.data(), ckk * cols}, cols, ep,
-                              {out_tile.data(), cfg.filters * cols}, cols);
-      } else {
-        blas::igemm(cfg.filters, cols, ckk,
-                    {qw.data.data(), qw.data.size()}, ckk,
-                    {tile.data(), ckk * cols}, cols, ep,
-                    {out_tile.data(), cfg.filters * cols}, cols);
-      }
-      for (std::size_t f = 0; f < cfg.filters; ++f) {
-        for (std::size_t j = 0; j < cols; ++j) {
-          out_image[f * positions + col0 + j] =
-              out_tile.data()[f * cols + j];
-        }
-      }
-    }
-  });
-}
-
 PackedQFilters prepack_quantized_filters(const ConvConfig& cfg,
                                          const quant::QuantizedFilters& qw) {
   const std::size_t group_filters = cfg.group_filters();
@@ -280,12 +167,27 @@ PackedQFilters prepack_quantized_filters(const ConvConfig& cfg,
   return packed;
 }
 
+// Dynamic quantization: activations per-tensor from this batch's own
+// range, weights per-channel from the filter tensor.
 void QuantizedGemmConv::forward_impl(const ConvConfig& cfg,
                                      const Tensor& input, Weights weights,
                                      Tensor& output,
                                      Epilogue epilogue) const {
-  dynamic_forward(cfg, input, weights.filters, epilogue.bias, epilogue.relu,
-                  output, /*implicit=*/false);
+  const std::span<const float> in = input.data();
+  check(!in.empty(), "quantized forward needs a non-empty input");
+  float lo = in[0];
+  float hi = in[0];
+  for (const float v : in) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  const quant::ActQuant aq = quant::choose_act_quant(lo, hi);
+  const std::size_t ckk =
+      cfg.group_channels() * cfg.kernel * cfg.kernel;
+  const quant::QuantizedFilters qw =
+      quant::quantize_filters(weights.filters.data(), cfg.filters, ckk);
+  quantized_gemm_forward(cfg, input, qw, nullptr, aq, epilogue.bias,
+                         epilogue.relu, output);
 }
 
 void QuantizedGemmConv::backward_data(const ConvConfig&, const Tensor&,
@@ -296,27 +198,6 @@ void QuantizedGemmConv::backward_data(const ConvConfig&, const Tensor&,
 void QuantizedGemmConv::backward_filter(const ConvConfig&, const Tensor&,
                                         const Tensor&, Tensor&) const {
   throw Error("unrolling-int8 is inference-only: no backward_filter");
-}
-
-void QuantizedImplicitGemmConv::forward_impl(const ConvConfig& cfg,
-                                             const Tensor& input,
-                                             Weights weights, Tensor& output,
-                                             Epilogue epilogue) const {
-  dynamic_forward(cfg, input, weights.filters, epilogue.bias, epilogue.relu,
-                  output, /*implicit=*/true);
-}
-
-void QuantizedImplicitGemmConv::backward_data(const ConvConfig&,
-                                              const Tensor&, const Tensor&,
-                                              Tensor&) const {
-  throw Error("implicit-int8 is inference-only: no backward_data");
-}
-
-void QuantizedImplicitGemmConv::backward_filter(const ConvConfig&,
-                                                const Tensor&,
-                                                const Tensor&,
-                                                Tensor&) const {
-  throw Error("implicit-int8 is inference-only: no backward_filter");
 }
 
 }  // namespace gpucnn::conv

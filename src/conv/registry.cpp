@@ -6,8 +6,7 @@
 #include "conv/direct_conv.hpp"
 #include "conv/fft_conv.hpp"
 #include "conv/gemm_conv.hpp"
-#include "conv/implicit_gemm_conv.hpp"
-#include "conv/tiled_fft_conv.hpp"
+#include "conv/quantized_conv.hpp"
 #include "conv/winograd_conv.hpp"
 #include "core/error.hpp"
 
@@ -16,25 +15,19 @@ namespace gpucnn::conv {
 std::span<const EngineEntry> registry() {
   static const DirectConv direct;
   static const GemmConv unrolling;
-  static const ImplicitGemmConv implicit_gemm;
   static const FftConv fft;  // half-spectrum
-  static const TiledFftConv fft_tiled;
   static const WinogradConv winograd;
   static const DepthwiseConv depthwise;
   static const WinogradConv winograd_f4(WinogradTile::kF4);
   static const QuantizedGemmConv unrolling_int8;
-  static const QuantizedImplicitGemmConv implicit_int8;
   static const EngineEntry table[] = {
       {direct, Dtype::kF32, true},
       {unrolling, Dtype::kF32, true},
-      {implicit_gemm, Dtype::kF32, true},
       {fft, Dtype::kF32, true},
-      {fft_tiled, Dtype::kF32, true},
       {winograd, Dtype::kF32, true},
       {depthwise, Dtype::kF32, true},
       {winograd_f4, Dtype::kF32, true},
-      {unrolling_int8, Dtype::kInt8, false, &quantized_gemm_forward},
-      {implicit_int8, Dtype::kInt8, false, &quantized_implicit_forward},
+      {unrolling_int8, Dtype::kInt8, false},
   };
   return table;
 }

@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "conv/conv_engine.hpp"
-#include "conv/quantized_conv.hpp"
 
 namespace gpucnn::conv {
 
@@ -24,29 +23,17 @@ namespace gpucnn::conv {
 /// quantization error may run them.
 enum class Dtype { kF32, kInt8 };
 
-/// The offline-quantized forward an int8 engine's dynamic adapter wraps
-/// (quantized_gemm_forward / quantized_implicit_forward): what a
-/// calibrated QuantizedConvLayer runs once the tuner picked the engine.
-using QuantizedForward = void (*)(const ConvConfig&, const Tensor& input,
-                                  const quant::QuantizedFilters&,
-                                  const PackedQFilters* packed,
-                                  const quant::ActQuant&,
-                                  std::span<const float> bias, bool relu,
-                                  Tensor& output);
-
 /// One row of the engine table.
 struct EngineEntry {
   const ConvEngine& engine;
   Dtype dtype;
   bool backward;  ///< implements backward_data and backward_filter
-  QuantizedForward quantized = nullptr;  ///< int8 rows only
 
   [[nodiscard]] std::string_view name() const { return engine.name(); }
 };
 
-/// Every tunable engine in pool order: direct, unrolling, implicit-gemm,
-/// fft, fft-tiled, winograd, depthwise, winograd-f4, unrolling-int8,
-/// implicit-int8.
+/// Every tunable engine in pool order: direct, unrolling, fft, winograd,
+/// depthwise, winograd-f4, unrolling-int8.
 [[nodiscard]] std::span<const EngineEntry> registry();
 
 /// The row named `name`, or nullptr.

@@ -106,21 +106,17 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
   // Engine selection: with autotuning on, ask for the int8 pool; the
   // tuner hands back an fp32 engine when int8 measured slower, in which
   // case the retained fp32 weights serve the layer unchanged.
-  conv::QuantizedForward run = conv::quantized_gemm_forward;
   if (auto_tune_) {
     const conv::ConvEngine* tuned = tune::Autotuner::instance().choose(
         cfg, tune::Pass::kForward, tune::Dtype::kInt8);
-    if (tuned != nullptr) {
-      const conv::EngineEntry& entry = *conv::find_engine(tuned->name());
-      if (entry.dtype != conv::Dtype::kInt8) {
-        tuned->forward(cfg, in, weights_, out, epilogue);
-        return;
-      }
-      run = entry.quantized;
+    if (tuned != nullptr &&
+        conv::find_engine(tuned->name())->dtype != conv::Dtype::kInt8) {
+      tuned->forward(cfg, in, weights_, out, epilogue);
+      return;
     }
   }
-  run(cfg, in, qweights_, qprepacked_.get(), aq, epilogue.bias,
-      epilogue.relu, out);
+  conv::quantized_gemm_forward(cfg, in, qweights_, qprepacked_.get(), aq,
+                               epilogue.bias, epilogue.relu, out);
 }
 
 void QuantizedConvLayer::backward(const Tensor&, const Tensor&, Tensor&) {

@@ -175,8 +175,14 @@ std::optional<Dtype> dtype_from_name(std::string_view name) {
 // strings with \"\\/bfnrt(u) escapes, numbers, true/false/null.
 
 struct JsonParser {
+  /// Deepest object/array nesting accepted. The writer emits three
+  /// levels (root, entries array, entry); the cap bounds the parser's
+  /// recursion so a corrupt or hostile file is rejected, not a crash.
+  static constexpr int kMaxDepth = 8;
+
   std::string_view text;
   std::size_t pos = 0;
+  int depth = 0;
   bool ok = true;
 
   void skip_ws() {
@@ -208,9 +214,18 @@ struct JsonParser {
   }
 
   obs::Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) {
+        ok = false;
+        return {};
+      }
+      ++depth;
+      obs::Json nested = c == '{' ? parse_object() : parse_array();
+      --depth;
+      return nested;
+    }
+    switch (c) {
       case '"': return obs::Json(parse_string());
       case 't': consume_word("true"); return obs::Json(true);
       case 'f': consume_word("false"); return obs::Json(false);
@@ -727,15 +742,13 @@ std::vector<const conv::ConvEngine*> search_order(const ConvConfig& cfg,
   for (const auto* r : ranked) {
     switch (frameworks::framework(r->framework).strategy()) {
       case conv::Strategy::kUnrolling:
-        push_named("unrolling");  // then its zero-workspace variant
-        push_named("implicit-gemm");
+        push_named("unrolling");
         break;
       case conv::Strategy::kDirect:
         push_named("direct");
         break;
       case conv::Strategy::kFft:
         push_named("fft");
-        push_named("fft-tiled");
         break;
       case conv::Strategy::kWinograd:
         push_named("winograd");

@@ -59,17 +59,16 @@ TEST_F(TunerFixture, OffModeChoosesNothing) {
 }
 
 TEST_F(TunerFixture, EligibilityRespectsEngineShapeLimits) {
-  // Stride 2 rules out both FFT engines and Winograd; kernel 4 rules out
+  // Stride 2 rules out FFT and both Winograd engines; kernel 4 rules out
   // Winograd even at stride 1. measure_all must mark them ineligible and
   // never run them.
   ConvConfig strided = small_config();
   strided.stride = 2;
   const auto timings = tuner_->measure_all(strided, Pass::kForward);
-  ASSERT_EQ(timings.size(), 8U);
+  ASSERT_EQ(timings.size(), 6U);
   for (const auto& t : timings) {
     // Depthwise is also out: the config is ungrouped multi-channel.
     const bool ineligible = t.engine_name == "fft" ||
-                            t.engine_name == "fft-tiled" ||
                             t.engine_name == "winograd" ||
                             t.engine_name == "winograd-f4" ||
                             t.engine_name == "depthwise";
@@ -233,24 +232,21 @@ TEST_F(TunerFixture, KeyHashSeparatesDtypes) {
 }
 
 TEST_F(TunerFixture, Int8PoolOnlyExtendsTheForwardPass) {
-  // The int8 engines join the candidate pool for (kForward, kInt8) only:
-  // fp32 callers keep the exact eight engines, and no backward pass ever
+  // The int8 engine joins the candidate pool for (kForward, kInt8) only:
+  // fp32 callers keep the exact six engines, and no backward pass ever
   // sees an inference-only engine.
   const ConvConfig cfg = small_config();
-  EXPECT_EQ(tuner_->measure_all(cfg, Pass::kForward).size(), 8U);
+  EXPECT_EQ(tuner_->measure_all(cfg, Pass::kForward).size(), 6U);
   EXPECT_EQ(tuner_->measure_all(cfg, Pass::kBackwardData, Dtype::kInt8)
                 .size(),
-            8U);
+            6U);
   const auto timings = tuner_->measure_all(cfg, Pass::kForward, Dtype::kInt8);
-  ASSERT_EQ(timings.size(), 10U);
+  ASSERT_EQ(timings.size(), 7U);
   bool unrolling_int8 = false;
-  bool implicit_int8 = false;
   for (const auto& t : timings) {
     unrolling_int8 |= t.engine_name == "unrolling-int8";
-    implicit_int8 |= t.engine_name == "implicit-int8";
   }
   EXPECT_TRUE(unrolling_int8);
-  EXPECT_TRUE(implicit_int8);
 }
 
 TEST_F(TunerFixture, Int8DecisionsMemoizeSeparatelyAndRoundTrip) {
@@ -288,6 +284,47 @@ TEST_F(TunerFixture, PreInt8CacheIsRejectedWholesale) {
   EXPECT_EQ(tuner_->load_cache(path), 0U);
 }
 
+TEST_F(TunerFixture, CacheFromTheTenEngineBinaryIsDiscarded) {
+  // A cache written before implicit-gemm, fft-tiled and implicit-int8
+  // were deleted: well-formed, current version/SIMD/threads, but its
+  // winners were picked from a different engine set, so nothing loads.
+  const std::string path = testing::TempDir() + "tune_cache_ten.json";
+  tuner_->set_mode(Mode::kMeasure);
+  (void)tuner_->decide(small_config(), Pass::kForward);
+  ASSERT_TRUE(tuner_->save_cache(path));
+  std::stringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  std::string text = buf.str();
+  const std::string current =
+      "\"engines\": \"direct,unrolling,fft,winograd,depthwise,winograd-f4,"
+      "unrolling-int8\"";
+  const auto at = text.find(current);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, current.size(),
+               "\"engines\": \"direct,unrolling,implicit-gemm,fft,fft-tiled,"
+               "winograd,depthwise,winograd-f4,unrolling-int8,implicit-int8\"");
+  std::ofstream(path) << text;
+
+  tuner_->clear();
+  EXPECT_EQ(tuner_->load_cache(path), 0U);
+  EXPECT_EQ(tuner_->size(), 0U);
+}
+
+TEST_F(TunerFixture, DeeplyNestedCacheIsDiscardedWithoutCrashing) {
+  // 200 000 nested arrays: a parser that recursed once per level ran off
+  // the stack. The nesting cap turns the file into a malformed cache.
+  const std::string path = testing::TempDir() + "tune_cache_deep.json";
+  std::ofstream(path) << std::string(200000, '[');
+  EXPECT_EQ(tuner_->load_cache(path), 0U);
+  EXPECT_EQ(tuner_->size(), 0U);
+
+  // The lazy first-use load on a set cache path takes the same route.
+  tuner_->set_mode(Mode::kHeuristic);
+  (void)tuner_->set_cache_path(path);
+  EXPECT_NE(tuner_->choose(small_config(), Pass::kForward), nullptr);
+  EXPECT_EQ(tuner_->size(), 1U);  // that fresh decision only
+}
+
 TEST_F(TunerFixture, SearchOrderMatchesParent) {
   // Eligible engines in search order, recorded before the engine table
   // was centralised: the order decides the heuristic pick and the
@@ -310,38 +347,31 @@ TEST_F(TunerFixture, SearchOrderMatchesParent) {
   const ConvConfig pointwise{1, 28, 192, 64, 1, 1, 0, 1};
   const ConvConfig conv1_7x7{1, 224, 3, 64, 7, 2, 3, 1};
   const ConvConfig lenet_conv1{1, 32, 1, 6, 5, 1, 0, 1};
-  const std::vector<std::string_view> fft_prior = {
-      "unrolling", "implicit-gemm", "fft", "fft-tiled", "direct"};
+  const std::vector<std::string_view> fft_prior = {"unrolling", "fft",
+                                                   "direct"};
   const Case cases[] = {
       {lenet_conv2, Pass::kForward, Dtype::kF32,
-       {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled"}},
+       {"direct", "unrolling", "fft"}},
       {lenet_conv2, Pass::kBackwardData, Dtype::kF32,
-       {"direct", "unrolling", "implicit-gemm", "fft", "fft-tiled"}},
+       {"direct", "unrolling", "fft"}},
       {inception_3x3, Pass::kForward, Dtype::kF32,
-       {"winograd-f4", "winograd", "unrolling", "implicit-gemm", "fft",
-        "fft-tiled", "direct"}},
+       {"winograd-f4", "winograd", "unrolling", "fft", "direct"}},
       {inception_3x3, Pass::kBackwardFilter, Dtype::kF32,
-       {"winograd-f4", "winograd", "unrolling", "implicit-gemm", "fft",
-        "fft-tiled", "direct"}},
+       {"winograd-f4", "winograd", "unrolling", "fft", "direct"}},
       {thin_3x3, Pass::kForward, Dtype::kF32,
-       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
-        "winograd", "winograd-f4"}},
+       {"unrolling", "fft", "direct", "winograd", "winograd-f4"}},
       {small_3x3, Pass::kForward, Dtype::kF32,
-       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
-        "winograd", "winograd-f4"}},
+       {"unrolling", "fft", "direct", "winograd", "winograd-f4"}},
       {depthwise, Pass::kForward, Dtype::kF32,
        {"depthwise", "unrolling", "direct"}},
       {pointwise, Pass::kBackwardData, Dtype::kF32, fft_prior},
-      {conv1_7x7, Pass::kForward, Dtype::kF32,
-       {"unrolling", "implicit-gemm", "direct"}},
+      {conv1_7x7, Pass::kForward, Dtype::kF32, {"unrolling", "direct"}},
       {conv1_7x7, Pass::kBackwardFilter, Dtype::kF32,
-       {"unrolling", "implicit-gemm", "direct"}},
+       {"unrolling", "direct"}},
       {lenet_conv1, Pass::kForward, Dtype::kInt8,
-       {"unrolling-int8", "implicit-int8", "unrolling", "implicit-gemm",
-        "fft", "fft-tiled", "direct", "depthwise"}},
+       {"unrolling-int8", "unrolling", "fft", "direct", "depthwise"}},
       {lenet_conv1, Pass::kBackwardData, Dtype::kInt8,
-       {"unrolling", "implicit-gemm", "fft", "fft-tiled", "direct",
-        "depthwise"}},
+       {"unrolling", "fft", "direct", "depthwise"}},
   };
   for (const auto& c : cases) {
     std::vector<std::string_view> got;
