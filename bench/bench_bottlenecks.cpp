@@ -7,15 +7,17 @@
 #include <iostream>
 #include <map>
 
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "frameworks/framework.hpp"
 #include "gpusim/profiler.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt_percent;
 
 void report(const ConvConfig& cfg, const std::string& label) {
   Table table("bottleneck split @ " + label + " " + cfg.to_string() +

@@ -5,12 +5,14 @@
 #include <iostream>
 
 #include "analysis/conv_runner.hpp"
-#include "analysis/report.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
 
 }  // namespace
 

@@ -7,13 +7,15 @@
 #include <iostream>
 
 #include "analysis/conv_runner.hpp"
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
 
 void compare(const ConvConfig& cfg, const std::string& label) {
   const auto k40c = gpusim::tesla_k40c();

@@ -8,13 +8,17 @@
 #include <iostream>
 
 #include "analysis/model_breakdown.hpp"
-#include "analysis/report.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
+using obs::fmt_percent;
 using nn::LayerSpec;
 
 constexpr LayerSpec::Kind kKinds[] = {

@@ -8,14 +8,17 @@
 #include <iostream>
 #include <limits>
 
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
 using frameworks::FrameworkId;
 
 std::string cell(const LayerResult& r) {

@@ -13,14 +13,18 @@
 #include <map>
 
 #include "analysis/conv_runner.hpp"
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
+using obs::fmt_percent;
 
 void print_breakdown(const LayerResult& r, Table& combined) {
   for (const auto& h : r.hotspots) {

@@ -12,14 +12,17 @@
 #include <iostream>
 #include <limits>
 
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
 
 std::string cell(const LayerResult& r) {
   if (!r.supported) return "n/s";

@@ -15,13 +15,16 @@
 #include <iostream>
 
 #include "analysis/conv_runner.hpp"
-#include "analysis/report.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
 
 void print_table1(obs::RunExporter& exporter) {
   Table table("Table I: convolution configurations for benchmarking");

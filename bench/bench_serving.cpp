@@ -18,19 +18,19 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/report.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
 #include "core/timer.hpp"
 #include "nn/model_spec.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
 using namespace gpucnn;
-using analysis::fmt;
-using analysis::Table;
+using obs::fmt;
+using obs::Table;
 
 struct Measurement {
   std::size_t max_batch = 0;
@@ -121,6 +121,6 @@ int main(int argc, char** argv) {
               << fmt(m.p99_ms, 2) << " ms\n";
   }
   table.print(std::cout);
-  analysis::export_table(exporter, table, "serving_micro");
+  obs::export_table(exporter, table, "serving_micro");
   return 0;
 }

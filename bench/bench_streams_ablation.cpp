@@ -12,17 +12,20 @@
 // prefetching frameworks and 1-15% (or 60%+) for synchronous ones.
 #include <iostream>
 
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "gpusim/profiler.hpp"
 #include "gpusim/timeline.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 #include "obs/trace.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
 using gpusim::TimelineItem;
 
 struct IterationCost {

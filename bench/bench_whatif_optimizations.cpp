@@ -4,14 +4,16 @@
 // configuration and at the Conv2 anomaly.
 #include <iostream>
 
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "analysis/whatif.hpp"
+#include "obs/table.hpp"
 
 namespace {
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
 
 void print_whatif(const ConvConfig& cfg, const std::string& label) {
   Table table("predicted speedup from each paper suggestion @ " + label +

@@ -22,12 +22,15 @@
 #include <vector>
 
 #include "analysis/recommend.hpp"
-#include "analysis/report.hpp"
 #include "cli_args.hpp"
+#include "obs/table.hpp"
 #include "tune/autotuner.hpp"
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
+using obs::fmt_percent;
 
 namespace {
 

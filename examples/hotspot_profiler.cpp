@@ -7,12 +7,15 @@
 #include <iostream>
 
 #include "analysis/layer_profiler.hpp"
-#include "analysis/report.hpp"
 #include "cli_args.hpp"
 #include "nn/model_spec.hpp"
+#include "obs/table.hpp"
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
+using obs::fmt_percent;
 
 int main(int argc, char** argv) {
   std::size_t batch = 16;

@@ -23,16 +23,19 @@
 #include <vector>
 
 #include "analysis/model_breakdown.hpp"
-#include "analysis/report.hpp"
 #include "cli_args.hpp"
 #include "core/rng.hpp"
 #include "core/timer.hpp"
 #include "nn/model_spec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/table.hpp"
 #include "tune/autotuner.hpp"
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::fmt;
+using obs::fmt_percent;
 
 namespace {
 

@@ -8,12 +8,15 @@
 #include <iostream>
 
 #include "analysis/model_breakdown.hpp"
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "obs/exporter.hpp"
+#include "obs/table.hpp"
 
 using namespace gpucnn;
 using namespace gpucnn::analysis;
+using obs::Table;
+using obs::export_table;
+using obs::fmt;
 
 namespace {
 

@@ -16,16 +16,16 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/report.hpp"
 #include "cli_args.hpp"
 #include "core/tensor.hpp"
 #include "core/timer.hpp"
 #include "nn/model_spec.hpp"
 #include "nn/synthetic_data.hpp"
+#include "obs/table.hpp"
 #include "serve/server.hpp"
 
 using namespace gpucnn;
-using analysis::fmt;
+using obs::fmt;
 
 int main(int argc, char** argv) {
   std::size_t per_client = 16;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   server.shutdown();
 
   const auto stats = server.stats();
-  analysis::Table table("serve_demo summary");
+  obs::Table table("serve_demo summary");
   table.header({"submitted", "completed", "batches", "mean batch",
                 "max batch", "p50 (ms)", "p99 (ms)",
                 "throughput (rps)"});

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/report.hpp"
 #include "cli_args.hpp"
 #include "conv/registry.hpp"
 #include "core/timer.hpp"
@@ -34,6 +33,7 @@
 #include "nn/softmax.hpp"
 #include "nn/synthetic_data.hpp"
 #include "obs/metrics.hpp"
+#include "obs/table.hpp"
 #include "tune/autotuner.hpp"
 
 using namespace gpucnn;
@@ -129,7 +129,7 @@ int main(int argc, char** argv) try {
     std::cout << "epoch " << epoch << "  loss "
               << loss_sum / kStepsPerEpoch << "  train accuracy "
               << acc_sum / kStepsPerEpoch << "  ("
-              << analysis::fmt(epoch_timer.elapsed_ms(), 0) << " ms)\n";
+              << obs::fmt(epoch_timer.elapsed_ms(), 0) << " ms)\n";
   }
 
   net.set_training(false);
@@ -144,7 +144,7 @@ int main(int argc, char** argv) try {
 
   if (tuning) {
     auto& tuner = tune::Autotuner::instance();
-    analysis::Table table("autotuned engine choices (batch " +
+    obs::Table table("autotuned engine choices (batch " +
                           std::to_string(kBatch) + ")");
     table.header({"layer", "forward", "backward-data", "backward-filter"});
     for (std::size_t i = 0; i < net.size(); ++i) {
@@ -155,7 +155,7 @@ int main(int argc, char** argv) try {
         const tune::Decision d = tuner.decide(cfg, pass);
         std::string cell(d.engine_name);
         if (d.measured) {
-          cell += " (" + analysis::fmt(d.best_ms, 2) + " ms)";
+          cell += " (" + obs::fmt(d.best_ms, 2) + " ms)";
         }
         return cell;
       };
@@ -169,7 +169,7 @@ int main(int argc, char** argv) try {
               << obs::metrics().counter("tune.misses").value()
               << " misses, " << obs::metrics().counter("tune.trials").value()
               << " trials, "
-              << analysis::fmt(obs::metrics().gauge("tune.ms_spent").value(),
+              << obs::fmt(obs::metrics().gauge("tune.ms_spent").value(),
                                1)
               << " ms measuring\n";
   }
@@ -189,9 +189,9 @@ int main(int argc, char** argv) try {
               << report.calibration_batches << " calibration batches)\n"
               << "int8 eval accuracy: " << int8_accuracy << " (fp32 "
               << fp32_accuracy << ", delta "
-              << analysis::fmt(int8_accuracy - fp32_accuracy, 4) << ")\n"
+              << obs::fmt(int8_accuracy - fp32_accuracy, 4) << ")\n"
               << "fp32-vs-int8 top-1 agreement: "
-              << analysis::fmt_percent(
+              << obs::fmt_percent(
                      examples::agreement(fp32_top,
                                          examples::top1(qprobs)))
               << " of 512 samples\n";

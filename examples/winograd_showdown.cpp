@@ -13,13 +13,13 @@
 // Run:  ./winograd_showdown
 #include <iostream>
 
-#include "analysis/report.hpp"
 #include "conv/registry.hpp"
 #include "core/timer.hpp"
+#include "obs/table.hpp"
 
 using namespace gpucnn;
-using analysis::Table;
-using analysis::fmt;
+using obs::Table;
+using obs::fmt;
 
 int main() {
   // A VGG block-2 shaped layer, scaled to CPU-friendly size.

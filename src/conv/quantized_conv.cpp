@@ -173,15 +173,7 @@ void QuantizedGemmConv::forward_impl(const ConvConfig& cfg,
                                      const Tensor& input, Weights weights,
                                      Tensor& output,
                                      Epilogue epilogue) const {
-  const std::span<const float> in = input.data();
-  check(!in.empty(), "quantized forward needs a non-empty input");
-  float lo = in[0];
-  float hi = in[0];
-  for (const float v : in) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  const quant::ActQuant aq = quant::choose_act_quant(lo, hi);
+  const quant::ActQuant aq = quant::choose_act_quant(input.data());
   const std::size_t ckk =
       cfg.group_channels() * cfg.kernel * cfg.kernel;
   const quant::QuantizedFilters qw =

@@ -89,19 +89,9 @@ void QuantizedConvLayer::forward(const Tensor& in, Tensor& out) {
     return;
   }
 
-  quant::ActQuant aq = aq_;
-  if (!act_frozen_) {
-    // Uncalibrated: dynamic per-batch range.
-    const auto d = in.data();
-    check(!d.empty(), "qconv forward needs a non-empty input");
-    float lo = d[0];
-    float hi = d[0];
-    for (const float v : d) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    aq = quant::choose_act_quant(lo, hi);
-  }
+  // Calibrated: the frozen range; uncalibrated: this batch's own range.
+  const quant::ActQuant aq =
+      act_frozen_ ? aq_ : quant::choose_act_quant(in.data());
 
   // Engine selection: with autotuning on, ask for the int8 pool; the
   // tuner hands back an fp32 engine when int8 measured slower, in which

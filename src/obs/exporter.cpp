@@ -84,14 +84,6 @@ void write_csv_cell(std::ostream& os, const std::string& cell) {
   os << '"';
 }
 
-void write_csv_row(std::ostream& os, const std::vector<std::string>& row) {
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (i != 0) os << ',';
-    write_csv_cell(os, row[i]);
-  }
-  os << '\n';
-}
-
 std::ofstream open_for_write(const std::filesystem::path& path) {
   std::ofstream os(path);
   check(os.is_open(), "cannot write " + path.string());
@@ -99,6 +91,14 @@ std::ofstream open_for_write(const std::filesystem::path& path) {
 }
 
 }  // namespace
+
+void write_csv_row(std::ostream& os, const std::vector<std::string>& row) {
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (i != 0) os << ',';
+    write_csv_cell(os, row[i]);
+  }
+  os << '\n';
+}
 
 RunExporter::RunExporter(ExportOptions options, std::string tool)
     : options_(std::move(options)), tool_(std::move(tool)) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <filesystem>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -88,5 +89,9 @@ class RunExporter {
 /// Lower-cases a column label and maps every non-alphanumeric run to one
 /// '_' ("time (ms)" -> "time_ms", "Theano-CorrMM" -> "theano_corrmm").
 [[nodiscard]] std::string sanitize_column(const std::string& label);
+
+/// Writes one RFC 4180 CSV row: cells holding a comma, quote or newline
+/// are quoted, inner quotes doubled.
+void write_csv_row(std::ostream& os, const std::vector<std::string>& row);
 
 }  // namespace gpucnn::obs

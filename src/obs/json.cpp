@@ -157,4 +157,188 @@ std::string Json::dump_string(int indent) const {
   return os.str();
 }
 
+namespace {
+
+/// Recursive-descent reader for parse_json. Every failure clears `ok`;
+/// callers stop at the first one.
+struct Parser {
+  std::string_view text;
+  std::size_t pos = 0;
+  int depth = 0;
+  bool ok = true;
+
+  bool fail() {
+    ok = false;
+    return false;
+  }
+  void skip_ws() {
+    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
+                                 text[pos] == '\n' || text[pos] == '\r')) {
+      ++pos;
+    }
+  }
+  [[nodiscard]] char peek() {
+    skip_ws();
+    return pos < text.size() ? text[pos] : '\0';
+  }
+  bool consume(char c) {
+    if (peek() != c) return fail();
+    ++pos;
+    return true;
+  }
+  bool consume_word(std::string_view word) {
+    if (text.substr(pos, word.size()) != word) return fail();
+    pos += word.size();
+    return true;
+  }
+
+  Json parse_value() {
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxJsonDepth) {
+        fail();
+        return {};
+      }
+      ++depth;
+      Json nested = c == '{' ? parse_object() : parse_array();
+      --depth;
+      return nested;
+    }
+    switch (c) {
+      case '"': return Json(parse_string());
+      case 't': consume_word("true"); return Json(true);
+      case 'f': consume_word("false"); return Json(false);
+      case 'n': consume_word("null"); return {};
+      default: return parse_number();
+    }
+  }
+
+  std::string parse_string() {
+    std::string out;
+    if (!consume('"')) return out;
+    while (ok && pos < text.size() && text[pos] != '"') {
+      char c = text[pos++];
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail();  // raw control characters must be escaped
+      } else if (c == '\\') {
+        c = parse_escape();
+      }
+      out.push_back(c);
+    }
+    consume('"');
+    return out;
+  }
+
+  /// The character a backslash escape stands for (the backslash is
+  /// already consumed).
+  char parse_escape() {
+    constexpr std::string_view kEscaped = "\"\\/bfnrt";
+    constexpr std::string_view kMeaning = "\"\\/\b\f\n\r\t";
+    const char esc = pos < text.size() ? text[pos++] : '\0';
+    if (const auto at = kEscaped.find(esc); at != std::string_view::npos) {
+      return kMeaning[at];
+    }
+    // Only \u0000-\u007f: one ASCII byte, the same in UTF-8.
+    unsigned code = 0;
+    const std::string_view hex = text.substr(pos, 4);
+    const auto [end, ec] =
+        std::from_chars(hex.data(), hex.data() + hex.size(), code, 16);
+    if (esc != 'u' || hex.size() != 4 || ec != std::errc{} ||
+        end != hex.data() + hex.size() || code > 0x7F) {
+      fail();
+      return '\0';
+    }
+    pos += 4;
+    return static_cast<char>(code);
+  }
+
+  bool accept(char c) {
+    if (pos == text.size() || text[pos] != c) return false;
+    ++pos;
+    return true;
+  }
+  /// Consumes [0-9]*; true when at least one digit was there.
+  bool digits() {
+    const std::size_t from = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > from;
+  }
+
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, converted only once
+  /// the whole token matched.
+  Json parse_number() {
+    skip_ws();
+    const std::size_t begin = pos;
+    accept('-');
+    bool valid = accept('0') || digits();
+    if (valid && accept('.')) valid = digits();
+    if (valid && (accept('e') || accept('E'))) {
+      if (!accept('+')) accept('-');
+      valid = digits();
+    }
+    double value = 0.0;
+    if (valid) {
+      const auto [end, ec] =
+          std::from_chars(text.data() + begin, text.data() + pos, value);
+      valid = ec == std::errc{} && end == text.data() + pos;
+    }
+    if (!valid) {
+      fail();
+      return {};
+    }
+    return Json(value);
+  }
+
+  Json parse_array() {
+    Json arr = Json::array();
+    consume('[');
+    if (peek() == ']') {
+      ++pos;
+      return arr;
+    }
+    while (ok) {
+      arr.push(parse_value());
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      consume(']');
+      break;
+    }
+    return arr;
+  }
+
+  Json parse_object() {
+    Json obj = Json::object();
+    consume('{');
+    if (peek() == '}') {
+      ++pos;
+      return obj;
+    }
+    while (ok) {
+      std::string key = parse_string();
+      consume(':');
+      obj.set(std::move(key), parse_value());
+      if (peek() == ',') {
+        ++pos;
+        continue;
+      }
+      consume('}');
+      break;
+    }
+    return obj;
+  }
+};
+
+}  // namespace
+
+std::optional<Json> parse_json(std::string_view text) {
+  Parser p{text};
+  Json v = p.parse_value();
+  if (!p.ok) return std::nullopt;
+  p.skip_ws();
+  if (p.pos != text.size()) return std::nullopt;
+  return v;
+}
+
 }  // namespace gpucnn::obs

@@ -1,5 +1,6 @@
 // Minimal ordered JSON document model backing every observability export
-// (run manifests, metric snapshots, Chrome traces — see docs/METRICS.md).
+// (run manifests, metric snapshots, Chrome traces — see docs/METRICS.md)
+// and the tune cache, plus the strict reader for what it writes.
 // Objects preserve insertion order so exports are deterministic and
 // diffable; numbers render via shortest-round-trip formatting. No
 // external dependencies.
@@ -7,6 +8,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -77,5 +79,15 @@ class Json {
 /// Renders a double the way Json does: shortest round-trip decimal;
 /// non-finite values become "null" (JSON has no NaN/inf literals).
 [[nodiscard]] std::string json_number(double value);
+
+/// Deepest object/array nesting parse_json accepts: the tune cache nests
+/// three levels, and the cap bounds the parser's recursion on hostile input.
+inline constexpr int kMaxJsonDepth = 8;
+
+/// Parses `text` as one JSON value; nullopt on any error. Strict RFC 8259:
+/// no inf/nan, hex or '+' numbers, no raw control characters in strings;
+/// numbers must fit a finite double and \u escapes must be ASCII
+/// (\u0000-\u007f, which covers every escape json_escape emits).
+[[nodiscard]] std::optional<Json> parse_json(std::string_view text);
 
 }  // namespace gpucnn::obs

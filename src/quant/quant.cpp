@@ -123,6 +123,17 @@ ActQuant choose_act_quant(float lo, float hi) {
   return q;
 }
 
+ActQuant choose_act_quant(std::span<const float> values) {
+  check(!values.empty(), "activation range of an empty tensor");
+  float lo = values[0];
+  float hi = values[0];
+  for (const float v : values) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  return choose_act_quant(lo, hi);
+}
+
 std::uint8_t quantize_act(float x, const ActQuant& q) {
   validate(q);
   return quantize_act_impl(x, q);

@@ -53,6 +53,11 @@ void validate(const ActQuant& q);
 /// zero point; degenerate ranges get scale 1.
 [[nodiscard]] ActQuant choose_act_quant(float lo, float hi);
 
+/// Chooses activation parameters covering the min/max of `values`: the
+/// dynamic per-batch range of an uncalibrated quantized conv. Throws
+/// Error on an empty span.
+[[nodiscard]] ActQuant choose_act_quant(std::span<const float> values);
+
 /// Saturating uint8 cast of an already-shifted integer value.
 [[nodiscard]] inline std::uint8_t saturate_u8(std::int32_t v) {
   return static_cast<std::uint8_t>(v < 0 ? 0 : (v > 255 ? 255 : v));

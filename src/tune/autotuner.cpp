@@ -1,14 +1,14 @@
 #include "tune/autotuner.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 
-#include "analysis/recommend.hpp"
 #include "core/cpu_features.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -24,7 +24,7 @@ namespace {
 // field naming the engine set the writer shipped. Version-1 caches
 // (pre-int8) are rejected wholesale on load — their decisions were made
 // without the int8 candidates and would pin stale fp32-only picks.
-constexpr int kCacheVersion = 2;
+constexpr std::size_t kCacheVersion = 2;
 /// Prune a candidate whose single warm-up run is already this many times
 /// slower than the best engine seen so far for the key.
 constexpr double kPruneFactor = 2.5;
@@ -151,176 +151,20 @@ double time_engine(Workload& work, const conv::ConvEngine& engine,
   return best;
 }
 
-std::size_t pass_index(Pass pass) { return static_cast<std::size_t>(pass); }
+/// The cache entry's names for the eight ConvConfig key words, in key
+/// order.
+constexpr std::array<std::string_view, 8> kConfigFields = {
+    "batch", "input", "channels", "filters",
+    "kernel", "stride", "pad", "groups"};
 
-std::optional<Pass> pass_from_name(std::string_view name) {
-  if (name == "forward") return Pass::kForward;
-  if (name == "backward-data") return Pass::kBackwardData;
-  if (name == "backward-filter") return Pass::kBackwardFilter;
+/// The value among `values` whose to_string is `name`, if any.
+template <typename Enum>
+std::optional<Enum> from_name(std::string_view name,
+                              std::initializer_list<Enum> values) {
+  for (const Enum value : values) {
+    if (to_string(value) == name) return value;
+  }
   return std::nullopt;
-}
-
-std::size_t dtype_index(Dtype dtype) {
-  return static_cast<std::size_t>(dtype);
-}
-
-std::optional<Dtype> dtype_from_name(std::string_view name) {
-  if (name == "fp32") return Dtype::kF32;
-  if (name == "int8") return Dtype::kInt8;
-  return std::nullopt;
-}
-
-// --- minimal JSON parser (obs::Json is a writer-only document model) ---
-// Accepts exactly the subset the cache writer emits: objects, arrays,
-// strings with \"\\/bfnrt(u) escapes, numbers, true/false/null.
-
-struct JsonParser {
-  /// Deepest object/array nesting accepted. The writer emits three
-  /// levels (root, entries array, entry); the cap bounds the parser's
-  /// recursion so a corrupt or hostile file is rejected, not a crash.
-  static constexpr int kMaxDepth = 8;
-
-  std::string_view text;
-  std::size_t pos = 0;
-  int depth = 0;
-  bool ok = true;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) {
-      ok = false;
-      return false;
-    }
-    ++pos;
-    return true;
-  }
-  bool consume_word(std::string_view word) {
-    skip_ws();
-    if (text.substr(pos, word.size()) != word) {
-      ok = false;
-      return false;
-    }
-    pos += word.size();
-    return true;
-  }
-
-  obs::Json parse_value() {
-    const char c = peek();
-    if (c == '{' || c == '[') {
-      if (depth == kMaxDepth) {
-        ok = false;
-        return {};
-      }
-      ++depth;
-      obs::Json nested = c == '{' ? parse_object() : parse_array();
-      --depth;
-      return nested;
-    }
-    switch (c) {
-      case '"': return obs::Json(parse_string());
-      case 't': consume_word("true"); return obs::Json(true);
-      case 'f': consume_word("false"); return obs::Json(false);
-      case 'n': consume_word("null"); return {};
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) return out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        const char esc = text[pos++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u':
-            pos = std::min(pos + 4, text.size());  // non-ASCII: drop
-            continue;
-          default: c = esc; break;  // \" \\ \/
-        }
-      }
-      out.push_back(c);
-    }
-    consume('"');
-    return out;
-  }
-
-  obs::Json parse_number() {
-    skip_ws();
-    const char* begin = text.data() + pos;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) {
-      ok = false;
-      return {};
-    }
-    pos += static_cast<std::size_t>(end - begin);
-    return obs::Json(v);
-  }
-
-  obs::Json parse_array() {
-    obs::Json arr = obs::Json::array();
-    consume('[');
-    if (peek() == ']') {
-      ++pos;
-      return arr;
-    }
-    while (ok) {
-      arr.push(parse_value());
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      consume(']');
-      break;
-    }
-    return arr;
-  }
-
-  obs::Json parse_object() {
-    obs::Json obj = obs::Json::object();
-    consume('{');
-    if (peek() == '}') {
-      ++pos;
-      return obj;
-    }
-    while (ok) {
-      std::string key = parse_string();
-      consume(':');
-      obj.set(std::move(key), parse_value());
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      consume('}');
-      break;
-    }
-    return obj;
-  }
-};
-
-/// Parses `text`; returns nullopt on any syntax error.
-std::optional<obs::Json> parse_json(std::string_view text) {
-  JsonParser p{text};
-  obs::Json v = p.parse_value();
-  if (!p.ok) return std::nullopt;
-  p.skip_ws();
-  if (p.pos != text.size()) return std::nullopt;
-  return v;
 }
 
 double number_or(const obs::Json& obj, std::string_view key, double fallback) {
@@ -333,6 +177,32 @@ std::string string_or(const obs::Json& obj, std::string_view key) {
   const obs::Json* v = obj.find(key);
   return v != nullptr && v->type() == obs::Json::Type::kString ? v->as_string()
                                                                : std::string{};
+}
+
+/// The count or size stored under `key`, or nullopt unless it is a
+/// number that is integral and in [0, 2^53] (every such double converts
+/// to std::size_t exactly; -1, 1.5, 1e300, inf and NaN do not, and a
+/// cast of the last three would be undefined behaviour).
+std::optional<std::size_t> size_field(const obs::Json& obj,
+                                      std::string_view key) {
+  const obs::Json* v = obj.find(key);
+  if (v == nullptr || v->type() != obs::Json::Type::kNumber) {
+    return std::nullopt;
+  }
+  const double x = v->as_number();
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  // Written so that NaN fails the first comparison.
+  if (!(x >= 0.0 && x <= kMaxExact) || x != std::floor(x)) return std::nullopt;
+  return static_cast<std::size_t>(x);
+}
+
+/// The cache's rendering of a key hash. Hex string: a JSON double cannot
+/// carry 64 hash bits exactly.
+std::string hash_hex(std::uint64_t hash) {
+  char hex[19];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
 }
 
 /// Thread count folded into the cache key: workers + the caller-runs
@@ -360,10 +230,7 @@ std::string_view to_string(Mode mode) {
 }
 
 std::optional<Mode> parse_mode(std::string_view text) {
-  if (text == "off") return Mode::kOff;
-  if (text == "heuristic") return Mode::kHeuristic;
-  if (text == "measure") return Mode::kMeasure;
-  return std::nullopt;
+  return from_name(text, {Mode::kOff, Mode::kHeuristic, Mode::kMeasure});
 }
 
 std::string_view to_string(Dtype dtype) {
@@ -402,7 +269,7 @@ Autotuner::Key Autotuner::make_key(const ConvConfig& cfg, Pass pass,
                                    Dtype dtype) {
   return {cfg.batch,  cfg.input, cfg.channels, cfg.filters,
           cfg.kernel, cfg.stride, cfg.pad,     cfg.groups,
-          pass_index(pass), dtype_index(dtype)};
+          static_cast<std::size_t>(pass), static_cast<std::size_t>(dtype)};
 }
 
 std::uint64_t Autotuner::key_hash(const ConvConfig& cfg, Pass pass,
@@ -432,18 +299,7 @@ Decision Autotuner::decide(const ConvConfig& cfg, Pass pass, Dtype dtype) {
 
 Decision Autotuner::decide_locked(const ConvConfig& cfg, Pass pass,
                                   Dtype dtype) {
-  if (!cache_loaded_ && !cache_path_.empty()) {
-    cache_loaded_ = true;  // one attempt per process, hit or miss
-    // Re-entrancy is safe: load_cache locks nothing below this level.
-    std::size_t kept = 0;
-    std::ifstream in(cache_path_);
-    if (in) {
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      kept = ingest_cache_text(buf.str());
-    }
-    (void)kept;
-  }
+  if (!cache_loaded_ && !cache_path_.empty()) (void)load_cache_locked();
   const Key key = make_key(cfg, pass, dtype);
   const auto it = memo_.find(key);
   if (it != memo_.end() &&
@@ -519,10 +375,7 @@ bool Autotuner::save_cache(const std::string& path) {
   std::lock_guard lock(mutex_);
   cache_path_ = path;
   cache_loaded_ = true;  // what we are about to write is the cache
-  std::ofstream out(path);
-  if (!out) return false;
-  out << cache_json_locked().dump_string(2) << '\n';
-  return out.good();
+  return persist_locked();
 }
 
 obs::Json Autotuner::cache_json_locked() const {
@@ -539,22 +392,12 @@ obs::Json Autotuner::cache_json_locked() const {
     const auto pass = static_cast<Pass>(key[8]);
     const auto dtype = static_cast<Dtype>(key[9]);
     obs::Json entry = obs::Json::object();
-    entry.set("batch", obs::Json(cfg.batch));
-    entry.set("input", obs::Json(cfg.input));
-    entry.set("channels", obs::Json(cfg.channels));
-    entry.set("filters", obs::Json(cfg.filters));
-    entry.set("kernel", obs::Json(cfg.kernel));
-    entry.set("stride", obs::Json(cfg.stride));
-    entry.set("pad", obs::Json(cfg.pad));
-    entry.set("groups", obs::Json(cfg.groups));
+    for (std::size_t i = 0; i < kConfigFields.size(); ++i) {
+      entry.set(std::string(kConfigFields[i]), obs::Json(key[i]));
+    }
     entry.set("pass", obs::Json(std::string(to_string(pass))));
     entry.set("dtype", obs::Json(std::string(to_string(dtype))));
-    // Hex string: a JSON double cannot carry 64 hash bits exactly.
-    char hex[19];
-    std::snprintf(
-        hex, sizeof hex, "0x%016llx",
-        static_cast<unsigned long long>(key_hash(cfg, pass, dtype)));
-    entry.set("hash", obs::Json(std::string(hex)));
+    entry.set("hash", obs::Json(hash_hex(key_hash(cfg, pass, dtype))));
     entry.set("engine", obs::Json(std::string(decision.engine_name)));
     entry.set("best_ms", obs::Json(decision.best_ms));
     entry.set("baseline_ms", obs::Json(decision.baseline_ms));
@@ -567,29 +410,23 @@ obs::Json Autotuner::cache_json_locked() const {
 std::size_t Autotuner::load_cache(const std::string& path) {
   std::lock_guard lock(mutex_);
   cache_path_ = path;
-  cache_loaded_ = true;
-  std::ifstream in(path);
+  return load_cache_locked();
+}
+
+std::size_t Autotuner::load_cache_locked() {
+  cache_loaded_ = true;  // one attempt per path, hit or miss
+  std::ifstream in(cache_path_);
   if (!in) return 0;
   std::ostringstream buf;
   buf << in.rdbuf();
-  return ingest_cache_text(buf.str());
-}
-
-std::size_t Autotuner::ingest_cache_text(const std::string& text) {
-  const auto parsed = parse_json(text);
+  const auto parsed = obs::parse_json(buf.str());
   if (!parsed) return 0;
   const obs::Json& root = *parsed;
   // Whole-file key: version, SIMD level and thread count must all match
   // this process, otherwise every timing in the file is suspect.
-  if (static_cast<int>(number_or(root, "tune_cache_version", -1)) !=
-      kCacheVersion) {
-    return 0;
-  }
+  if (size_field(root, "tune_cache_version") != kCacheVersion) return 0;
   if (string_or(root, "simd") != simd::name(simd::active())) return 0;
-  if (static_cast<std::size_t>(number_or(root, "threads", 0)) !=
-      active_threads()) {
-    return 0;
-  }
+  if (size_field(root, "threads") != active_threads()) return 0;
   // The engine set must match the running binary: a cache written by a
   // binary with fewer (or different) engines never compared against the
   // ones this binary ships, so its winners are not trustworthy.
@@ -601,26 +438,28 @@ std::size_t Autotuner::ingest_cache_text(const std::string& text) {
   std::size_t kept = 0;
   for (const obs::Json& entry : entries->items()) {
     if (entry.type() != obs::Json::Type::kObject) continue;
-    const ConvConfig cfg{
-        static_cast<std::size_t>(number_or(entry, "batch", 0)),
-        static_cast<std::size_t>(number_or(entry, "input", 0)),
-        static_cast<std::size_t>(number_or(entry, "channels", 0)),
-        static_cast<std::size_t>(number_or(entry, "filters", 0)),
-        static_cast<std::size_t>(number_or(entry, "kernel", 0)),
-        static_cast<std::size_t>(number_or(entry, "stride", 0)),
-        static_cast<std::size_t>(number_or(entry, "pad", 0)),
-        static_cast<std::size_t>(number_or(entry, "groups", 0))};
-    const auto pass = pass_from_name(string_or(entry, "pass"));
+    std::array<std::size_t, 8> fields{};
+    bool fields_ok = true;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const auto field = size_field(entry, kConfigFields[i]);
+      fields_ok = fields_ok && field.has_value();
+      fields[i] = field.value_or(0);
+    }
+    if (!fields_ok) continue;
+    const ConvConfig cfg{fields[0], fields[1], fields[2], fields[3],
+                         fields[4], fields[5], fields[6], fields[7]};
+    const auto pass = from_name(
+        string_or(entry, "pass"),
+        {Pass::kForward, Pass::kBackwardData, Pass::kBackwardFilter});
     if (!pass) continue;
-    const auto dtype = dtype_from_name(string_or(entry, "dtype"));
+    const auto dtype =
+        from_name(string_or(entry, "dtype"), {Dtype::kF32, Dtype::kInt8});
     if (!dtype) continue;
     // Per-entry key check: recompute the hash from the stored fields; a
     // mismatch means the entry was edited or the key schema changed.
-    char hex[19];
-    std::snprintf(
-        hex, sizeof hex, "0x%016llx",
-        static_cast<unsigned long long>(key_hash(cfg, *pass, *dtype)));
-    if (string_or(entry, "hash") != hex) continue;
+    if (string_or(entry, "hash") != hash_hex(key_hash(cfg, *pass, *dtype))) {
+      continue;
+    }
     // The engine must be one that could have won this key's search.
     const conv::EngineEntry* found =
         conv::find_engine(string_or(entry, "engine"));
@@ -639,11 +478,12 @@ std::size_t Autotuner::ingest_cache_text(const std::string& text) {
   return kept;
 }
 
-void Autotuner::persist_locked() {
-  if (cache_path_.empty()) return;
+bool Autotuner::persist_locked() {
+  if (cache_path_.empty()) return false;
   std::ofstream out(cache_path_);
-  if (!out) return;
+  if (!out) return false;
   out << cache_json_locked().dump_string(2) << '\n';
+  return out.good();
 }
 
 std::string Autotuner::set_cache_path(std::string path) {
@@ -705,7 +545,7 @@ std::vector<const conv::ConvEngine*> search_order(const ConvConfig& cfg,
 
   // Depthwise-degenerate shapes: the specialised engine is the likely
   // winner (no im2col traffic, no wasted reduction), so it leads the
-  // search; the recommend model below only knows the paper's strategies.
+  // search.
   if (cfg.groups == cfg.channels && cfg.groups > 1) push_named("depthwise");
 
   // Zoo-dominant 3x3/stride-1 shapes: the scattered-GEMM Winograd
@@ -713,7 +553,7 @@ std::vector<const conv::ConvEngine*> search_order(const ConvConfig& cfg,
   // transforms — measured ≥2x over im2col GEMM at C,F ≥ 64 on 28²+
   // feature maps. F(4x4,3x3) (4x multiply reduction) leads F(2x2,3x3).
   // The size gate keeps small shapes (LeNet, fuzzer degenerates) on the
-  // unchanged prior.
+  // general-purpose order below.
   if (cfg.kernel == 3 && cfg.stride == 1 && cfg.groups == 1 &&
       cfg.pad <= 2 && cfg.channels >= 64 && cfg.filters >= 64 &&
       cfg.input >= 28) {
@@ -721,42 +561,14 @@ std::vector<const conv::ConvEngine*> search_order(const ConvConfig& cfg,
     push_named("winograd");
   }
 
-  // The model prior: the paper's strategies sorted by the recommend
-  // model's simulated runtimes (fastest first), each standing for the
-  // engines that implement it, so on real hardware the likely winner is
-  // measured first and slow candidates hit the prune check.
-  analysis::Recommendation rec;
-  try {
-    rec = analysis::recommend(cfg);
-  } catch (const Error&) {
-    // Model failure is not fatal: fall back to the pool order.
+  // The general-purpose engines in a fixed order: im2col + GEMM (the
+  // static default) first, then FFT and direct. The order decides the
+  // heuristic pick and which measured candidates the prune check can
+  // cut short; a measurement still runs every eligible engine once.
+  for (const std::string_view name : {"unrolling", "fft", "direct"}) {
+    push_named(name);
   }
-  std::vector<const analysis::LayerResult*> ranked;
-  for (const auto& r : rec.results) {
-    if (r.supported && !r.out_of_memory) ranked.push_back(&r);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto* a, const auto* b) {
-              return a->runtime_ms < b->runtime_ms;
-            });
-  for (const auto* r : ranked) {
-    switch (frameworks::framework(r->framework).strategy()) {
-      case conv::Strategy::kUnrolling:
-        push_named("unrolling");
-        break;
-      case conv::Strategy::kDirect:
-        push_named("direct");
-        break;
-      case conv::Strategy::kFft:
-        push_named("fft");
-        break;
-      case conv::Strategy::kWinograd:
-        push_named("winograd");
-        push_named("winograd-f4");
-        break;
-    }
-  }
-  // Engines the model cannot rank append in pool order.
+  // Everything else appends in pool order.
   for (const auto& entry : conv::registry()) push(&entry);
 
   std::vector<const conv::ConvEngine*> eligible;

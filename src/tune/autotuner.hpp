@@ -1,9 +1,10 @@
 // Empirical convolution engine selection — the paper's central finding
 // ("no single implementation wins everywhere", Figs. 3–4) turned into an
 // executor policy. For a (ConvConfig, pass) key the autotuner times every
-// eligible real engine, seeded in search order by the analysis/recommend
-// model prior so bad candidates are pruned after one warm-up run, picks
-// the fastest and memoizes the decision process-wide. Decisions persist
+// eligible real engine in search order — shape-specialised leaders
+// (int8, depthwise, large 3x3 Winograd), then unrolling, fft, direct —
+// so bad candidates are pruned after one warm-up run, picks the fastest
+// and memoizes the decision process-wide. Decisions persist
 // in a versioned on-disk JSON cache keyed by config hash + dtype +
 // active SIMD level + thread count + the engine set the binary ships
 // (so a cache written before an engine existed — e.g. any pre-int8
@@ -14,7 +15,7 @@
 // Modes (GPUCNN_TUNE environment override, lowest priority; set_mode
 // wins):
 //   off        no tuning — layers keep their statically chosen engine;
-//   heuristic  pick the model prior's top eligible engine, no timing;
+//   heuristic  pick the front of the search order, no timing;
 //   measure    time candidates on first use, warm decisions are free.
 //
 // Metrics: tune.hits / tune.misses (memo lookups), tune.trials (timed
@@ -149,8 +150,11 @@ class Autotuner {
   Decision measure_locked(const ConvConfig& cfg, Pass pass, Dtype dtype);
   Decision heuristic_locked(const ConvConfig& cfg, Pass pass, Dtype dtype);
   [[nodiscard]] obs::Json cache_json_locked() const;
-  std::size_t ingest_cache_text(const std::string& text);
-  void persist_locked();
+  /// Reads the cache at cache_path_ into the memo; returns entries kept.
+  std::size_t load_cache_locked();
+  /// Writes the measured decisions to cache_path_; false on I/O failure
+  /// or an empty path.
+  bool persist_locked();
 
   mutable std::mutex mutex_;
   Mode mode_;

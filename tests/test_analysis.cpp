@@ -1,12 +1,9 @@
-// Analysis-layer tests: sweep machinery, evaluation driver, report
-// rendering and model breakdowns.
+// Analysis-layer tests: sweep machinery, evaluation driver and model
+// breakdowns.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "analysis/conv_runner.hpp"
 #include "analysis/model_breakdown.hpp"
-#include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 
 namespace gpucnn::analysis {
@@ -141,48 +138,6 @@ TEST(ConvRunner, EvaluateAllPreservesOrder) {
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_EQ(rs[i].framework, frameworks::kAllFrameworks[i]);
   }
-}
-
-TEST(Report, TableRendersHeaderAndRows) {
-  Table t("demo");
-  t.header({"a", "bee"});
-  t.row({"1", "2"});
-  t.row({"333", "4"});
-  std::ostringstream os;
-  t.print(os);
-  const std::string s = os.str();
-  EXPECT_NE(s.find("demo"), std::string::npos);
-  EXPECT_NE(s.find("bee"), std::string::npos);
-  EXPECT_NE(s.find("333"), std::string::npos);
-  EXPECT_EQ(t.rows(), 2U);
-}
-
-TEST(Report, CsvEscapesSpecialCells) {
-  Table t("csv");
-  t.header({"name", "value"});
-  t.row({"plain", "1"});
-  t.row({"with,comma", "quote\"inside"});
-  std::ostringstream os;
-  t.to_csv(os);
-  EXPECT_EQ(os.str(),
-            "name,value\n"
-            "plain,1\n"
-            "\"with,comma\",\"quote\"\"inside\"\n");
-}
-
-TEST(Report, CsvWithoutHeaderOmitsHeaderRow) {
-  Table t("csv");
-  t.row({"a", "b"});
-  std::ostringstream os;
-  t.to_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n");
-}
-
-TEST(Report, Formatting) {
-  EXPECT_EQ(fmt(3.14159, 2), "3.14");
-  EXPECT_EQ(fmt(2.0, 0), "2");
-  EXPECT_EQ(fmt_percent(0.1234), "12.3%");
-  EXPECT_EQ(fmt_percent(1.0, 0), "100%");
 }
 
 TEST(ModelBreakdownTest, SharesSumToOne) {

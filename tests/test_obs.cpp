@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs/): trace JSON
 // well-formedness and nesting balance, metrics thread-safety under
-// parallel_for, CSV/JSON table round-trips, and the manifest schema.
+// parallel_for, table rendering, CSV/JSON table round-trips, and the
+// manifest schema.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include "obs/exporter.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/table.hpp"
 #include "obs/trace.hpp"
 
 namespace gpucnn::obs {
@@ -79,6 +81,70 @@ TEST(JsonTest, SetReplacesExistingKey) {
   Json doc = Json::object();
   doc.set("k", 1).set("k", 2);
   EXPECT_EQ(doc.dump_string(), R"({"k":2})");
+}
+
+TEST(JsonTest, ParseRoundTripsEveryTypeAtFullDepth) {
+  // Every control character, both escaped quote kinds and a slash.
+  std::string controls;
+  for (char c = 0; c < 0x20; ++c) controls.push_back(c);
+  controls += "\"\\/ plain";
+
+  // kMaxJsonDepth containers, alternating object and array.
+  Json nested = Json::array();
+  nested.push("deepest");
+  for (int level = 1; level < kMaxJsonDepth; ++level) {
+    Json outer = level % 2 != 0 ? Json::object() : Json::array();
+    if (level % 2 != 0) {
+      outer.set("level" + std::to_string(level), std::move(nested));
+    } else {
+      outer.push(std::move(nested));
+    }
+    nested = std::move(outer);
+  }
+  ASSERT_EQ(nested.type(), Json::Type::kObject);
+  nested.set("null", Json())
+      .set("true", true)
+      .set("false", false)
+      .set("zero", 0)
+      .set("negative_zero", -0.0)
+      .set("fraction", -2.25e-7)
+      .set("huge", 1e300)
+      .set("exact_2_53", 9007199254740992.0)
+      .set("controls", controls)
+      .set(controls, "control characters in a key")
+      .set("empty_array", Json::array())
+      .set("empty_object", Json::object());
+
+  for (const int indent : {0, 2}) {
+    const std::string text = nested.dump_string(indent);
+    const auto parsed = parse_json(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(parsed->dump_string(indent), text);
+  }
+  const auto parsed = parse_json(nested.dump_string());
+  ASSERT_TRUE(parsed.has_value());
+  ASSERT_NE(parsed->find("controls"), nullptr);
+  EXPECT_EQ(parsed->find("controls")->as_string(), controls);
+
+  // One container more than the cap is rejected.
+  Json deeper = Json::array();
+  deeper.push(std::move(nested));
+  EXPECT_FALSE(parse_json(deeper.dump_string()).has_value());
+}
+
+TEST(JsonTest, ParseAcceptsOnlyJsonGrammar) {
+  for (const std::string_view good :
+       {"0", "-0", "1.5e-3", "2E+10", "\"\\u001F\\u0041\"", " \t\r\n[1]\n",
+        "{\"a\":[true,false,null]}"}) {
+    EXPECT_TRUE(parse_json(good).has_value()) << good;
+  }
+  for (const std::string_view bad :
+       {"", "inf", "-inf", "nan", "-nan", "NaN", "0x10", "+1", "01", "1.",
+        ".5", "1e", "1e400", "--1", "\"\\u00e9\"", "\"\\u0100\"",
+        "\"\\u00\"", "\"\\x41\"", "\"raw\ttab\"", "\"unterminated",
+        "[1,]", "{\"a\":1,}", "{a:1}", "[1] 2", "tru", "\v1"}) {
+    EXPECT_FALSE(parse_json(bad).has_value()) << bad;
+  }
 }
 
 // --------------------------------------------------------------- Trace
@@ -320,6 +386,50 @@ TEST(ExporterTest, ManifestCarriesSchemaVersionAndArtifacts) {
   EXPECT_TRUE(fs::exists(tmp.path / "trace.json"));
   // finish() disables the tracer it enabled.
   EXPECT_FALSE(tracer().enabled());
+}
+
+// --------------------------------------------------------------- Table
+
+TEST(Report, TableRendersHeaderAndRows) {
+  Table t("demo");
+  t.header({"a", "bee"});
+  t.row({"1", "2"});
+  t.row({"333", "4"});
+  std::ostringstream os;
+  t.print(os);
+  const std::string s = os.str();
+  EXPECT_NE(s.find("demo"), std::string::npos);
+  EXPECT_NE(s.find("bee"), std::string::npos);
+  EXPECT_NE(s.find("333"), std::string::npos);
+  EXPECT_EQ(t.rows(), 2U);
+}
+
+TEST(Report, CsvEscapesSpecialCells) {
+  Table t("csv");
+  t.header({"name", "value"});
+  t.row({"plain", "1"});
+  t.row({"with,comma", "quote\"inside"});
+  std::ostringstream os;
+  t.to_csv(os);
+  EXPECT_EQ(os.str(),
+            "name,value\n"
+            "plain,1\n"
+            "\"with,comma\",\"quote\"\"inside\"\n");
+}
+
+TEST(Report, CsvWithoutHeaderOmitsHeaderRow) {
+  Table t("csv");
+  t.row({"a", "b"});
+  std::ostringstream os;
+  t.to_csv(os);
+  EXPECT_EQ(os.str(), "a,b\n");
+}
+
+TEST(Report, Formatting) {
+  EXPECT_EQ(fmt(3.14159, 2), "3.14");
+  EXPECT_EQ(fmt(2.0, 0), "2");
+  EXPECT_EQ(fmt_percent(0.1234), "12.3%");
+  EXPECT_EQ(fmt_percent(1.0, 0), "100%");
 }
 
 }  // namespace

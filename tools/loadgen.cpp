@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/report.hpp"
 #include "conv/registry.hpp"
 #include "core/rng.hpp"
 #include "core/tensor.hpp"
@@ -38,13 +37,14 @@
 #include "nn/model_spec.hpp"
 #include "obs/exporter.hpp"
 #include "obs/metrics.hpp"
+#include "obs/table.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
 using namespace gpucnn;
-using analysis::fmt;
-using analysis::Table;
+using obs::fmt;
+using obs::Table;
 
 struct LoadgenOptions {
   std::string model = "lenet5";
@@ -416,7 +416,7 @@ int main(int argc, char** argv) {
                fmt(r.latency.p99_us / 1000.0, 3)});
   }
   table.print(std::cout);
-  analysis::export_table(exporter, table, "serving");
+  obs::export_table(exporter, table, "serving");
 
   if (leaked) return 1;
   std::cout << "request accounting clean: no queue leak\n";
